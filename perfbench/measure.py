@@ -5,43 +5,44 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
+import pickle
 import platform
 import resource
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+from calibrate import Speed
 from probe import Probe, Tracer
 from session import SETUP_REPEATS, VARIANTS, SessionResult, Workload, run_session
 from statistics import median
 
 from stats import tail_percentile
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 NOMINAL_SECONDS = 15.0  # the run length the fixed-size work below is sized for
 ACCOUNTING_TOLERANCE = 0.10  # per-layer table vs untraced step time
 REFERENCE_STEPS = 10
+FRESH_PROCESS_TIMEOUT_S = 120  # subprocess.run kills and reaps the child past this
 
+# Each workload's reason ("why") is kept once, in BENCHMARK.json; the run
+# record copies it from there.
 WORKLOADS = {wl.name: wl for wl in (
     Workload(
         name="train-toy",
-        why="short utterances (~19 frames after subsampling): per-op tape cost, the "
-            "80-mel subsampler and eval/checkpoint stalls dominate; "
-            "six variants to their criterion-6 dev TER",
         corpus={},
         kernels=(3, 7, 11, 15),
         train_steps=200, eval_every=10, to_target=True, dev_utts=24,
-        decode_per_length=3),
+        decode_per_length=8),
     Workload(
         name="train-long",
-        why="long utterances (T ~95-190) with kernels 7/15/23/31: the conv-block "
-            "backward loops, attention and the CTC DP dominate; fixed steps",
         corpus={"n_train": 192, "n_dev": 8, "n_test": 192, "min_tokens": 8,
                 "max_tokens": 16, "frames_per_token": 48, "n_mels": 20},
         kernels=(7, 15, 23, 31),
@@ -49,13 +50,16 @@ WORKLOADS = {wl.name: wl for wl in (
         decode_per_length=2),
     Workload(
         name="decode-toy",
-        why="the read path: forward plus greedy decode, one utterance at a time; "
-            "backward, CTC-gradient and optimizer changes should not move it",
         corpus={},
         kernels=(3, 7, 11, 15),
         train_steps=20, eval_every=10, to_target=False, dev_utts=8,
         decode_per_length=8),
 )}
+
+
+def benchmark_spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -84,7 +88,7 @@ def per_layer_units() -> dict[str, str]:
         "eval.ms_per_call": "ms", "checkpoint.save_ms": "ms", "checkpoint.load_ms": "ms",
         "decode.greedy_ms_per_utt": "ms",
         "data.generate_s": "s", "data.load_s": "s",
-        "other.ms_per_utt": "ms", "trace.overhead_ratio": "ratio",
+        "other.ms_per_utt": "ms", "trace.step_ratio": "ratio",
     })
     return units
 
@@ -92,18 +96,30 @@ def per_layer_units() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # metrics
 
-def end_to_end(res: SessionResult) -> tuple[dict, dict]:
-    p_used, p_tail = tail_percentile(res.decode_ms, 99.0)
-    values = {
-        "setup_s": median(res.setup_s),
-        "train_utt_per_s": res.train_utts / res.train_s,
-        "job_utt_per_s": res.train_utts / res.job_s,
-        "decode_utt_per_s": 1e3 * len(res.decode_ms) / sum(res.decode_ms),
-        "decode_ms_p50": median(res.decode_ms),
+def _timings(res: SessionResult, scaled: bool) -> tuple[float, dict]:
+    decode_ms = res.decode_ms if scaled else res.decode_ms_raw
+    p_used, p_tail = tail_percentile(decode_ms, 99.0)
+    setup = [s * (f if scaled else 1.0) for s, f in zip(res.setup_s, res.setup_scale)]
+    return p_used, {
+        "setup_s": median(setup),
+        "train_utt_per_s": res.utt_per_s(stalls=False, scaled=scaled),
+        "job_utt_per_s": res.utt_per_s(stalls=True, scaled=scaled),
+        "decode_utt_per_s": 1e3 * len(decode_ms) / sum(decode_ms),
+        "decode_ms_p50": median(decode_ms),
         "decode_ms_p99": p_tail,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    samples = {"decodes": res.decodes, "decode_latency_samples": len(res.decode_ms),
+
+
+def end_to_end(res: SessionResult, speed: Speed) -> tuple[dict, dict]:
+    """The end-to-end metrics, timings scaled to the reference speed; the
+    unscaled timings and the speed samples go into the run record."""
+    p_used, values = _timings(res, scaled=True)
+    values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    kernel_ms = [1e3 * k for k in speed.kernel_s]
+    samples = {"unscaled": _timings(res, scaled=False)[1],
+               "speed_samples": len(kernel_ms),
+               "kernel_ms_min_median_max": [min(kernel_ms), median(kernel_ms), max(kernel_ms)],
+               "decodes": res.decodes, "decode_latency_samples": len(res.decode_ms),
                "decode_tail_percentile": p_used,
                "train_utts": res.train_utts,
                "time_to_target_s": res.job_s,
@@ -207,7 +223,7 @@ def per_layer(tracer: Tracer, traced: SessionResult) -> tuple[dict, dict]:
     m["other.ms_per_utt"] = 1e3 * (busy[True] - inside) / n_utt
     traced_per_frame = busy[True] / frames[True]
     plain_per_frame = busy[False] / frames[False]
-    m["trace.overhead_ratio"] = traced_per_frame / plain_per_frame - 1.0
+    m["trace.step_ratio"] = traced_per_frame / plain_per_frame
     table_per_frame = (busy[True] - backward + bwd_total) / frames[True]
     detail = {"traced_step_ms_per_utt": 1e3 * busy[True] / n_utt,
               "untraced_step_ms_per_utt": 1e3 * busy[False] / tracer.step_utts[False],
@@ -273,18 +289,31 @@ def _write_trace(out_dir: Path, wl: Workload, seed: int, tracer: Tracer) -> Path
     return path
 
 
-def untraced_session(wl: Workload, seed: int, scratch: Path) -> SessionResult:
+def untraced_session(wl: Workload, seed: int, scratch: Path,
+                     speed: Speed | None = None) -> SessionResult:
     with Probe() as probe:
-        return run_session(wl, seed, scratch, probe)
+        return run_session(wl, seed, scratch, probe, speed)
 
 
-def _in_fresh_process(fn, *args):
-    """Run ``fn(*args)`` in a newly spawned interpreter and wait for it to end."""
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        result = pool.apply(fn, args)
-        pool.close()
-        pool.join()
-    return result
+# Loads (fn, args) from the file named by argv[1] and writes fn(*args) back to it.
+_CHILD = ("import pickle, sys; sys.path[:0] = sys.argv[2:]; "
+          "fn, args = pickle.loads(open(sys.argv[1], 'rb').read()); "
+          "result = fn(*args); open(sys.argv[1], 'wb').write(pickle.dumps(result))")
+
+
+def _in_fresh_process(fn, *args, scratch: Path):
+    """Run ``fn(*args)`` in a new interpreter and wait for it to end.
+
+    A plain child process, not a ``multiprocessing`` pool: a spawned pool
+    also starts a resource tracker that outlives the pool. The child
+    inherits the BLAS thread settings through the environment, and its
+    standard output goes to standard error, so the result line stays last.
+    """
+    job = scratch / "fresh-process.pkl"
+    job.write_bytes(pickle.dumps((fn, args)))
+    subprocess.run([sys.executable, "-c", _CHILD, str(job), str(ROOT / "src"), str(HERE)],
+                   stdout=sys.stderr, check=True, timeout=FRESH_PROCESS_TIMEOUT_S)
+    return pickle.loads(job.read_bytes())
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: Path):
@@ -294,7 +323,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: Pat
     if seconds <= 0:
         raise SystemExit("perfbench: --seconds must be positive")
     wl = WORKLOADS[name].scaled(seconds, NOMINAL_SECONDS)
-    record = {"env": environment(), "workload": wl.describe(), "seed": seed,
+    why = {w["name"]: w["why"] for w in benchmark_spec()["workloads"]}.get(name)
+    record = {"env": environment(), "workload": wl.describe(), "why": why, "seed": seed,
               "seconds": seconds, "trace": trace}
     out_dir.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="work-", dir=out_dir))
@@ -307,7 +337,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: Pat
             # growing the heap and runs several percent faster.
             reference = dataclasses.replace(
                 wl, train_steps=min(wl.train_steps, REFERENCE_STEPS), to_target=False)
-            plain = _in_fresh_process(untraced_session, reference, seed, scratch)
+            plain = _in_fresh_process(untraced_session, reference, seed, scratch,
+                                      scratch=scratch)
             with Tracer() as tracer:
                 traced = run_session(wl, seed, scratch, tracer)
             metrics, detail = per_layer(tracer, traced)
@@ -326,8 +357,9 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, out_dir: Pat
             detail["trace_file"] = str(_write_trace(out_dir, wl, seed, tracer).relative_to(ROOT))
             attempted_res = traced
         else:
-            plain = untraced_session(wl, seed, scratch)
-            metrics, detail = end_to_end(plain)
+            speed = Speed()
+            plain = untraced_session(wl, seed, scratch, speed)
+            metrics, detail = end_to_end(plain, speed)
             units = END_TO_END_UNITS
             checks = plain.checks
             attempted_res = plain

@@ -35,6 +35,7 @@ from multiconv import (attention, autodiff, checkpoint, conv_blocks, ctc, data, 
 clock = time.perf_counter
 SPAN_FIELDS = ("name", "start", "end", "parent", "utt", "phase", "variant")
 RERUN_STRIDE = 8
+SPEED_EVERY_S = 0.5  # least time between two machine-speed samples in a training job
 
 
 class Probe:
@@ -45,6 +46,11 @@ class Probe:
         self.variant = ""
         self.sink: list[tuple[float, bool]] | None = None
         self.stall_s = 0.0
+        # a machine-speed sampler (calibrate.Speed) to call between the
+        # utterances of a training job, and the seconds its samples took
+        self.speed = None
+        self.speed_s = 0.0
+        self._sampled_at = 0.0
         self._patches: list[tuple[object, str, object]] = []
 
     def _patch(self, owner, attr: str, make) -> None:
@@ -75,6 +81,7 @@ class Probe:
         self.variant = variant
         self.sink = sink
         self.stall_s = 0.0
+        self.speed_s = 0.0
         self.phase = phase
 
     def end_job(self) -> float:
@@ -93,6 +100,10 @@ class Probe:
                 loss, feasible = original(logits, labels)
             if self.sink is not None and self.phase in ("train", "repeat"):
                 self.sink.append((loss.item(), feasible))
+            if (self.phase == "train" and self.speed is not None
+                    and clock() - self._sampled_at >= SPEED_EVERY_S):
+                self.speed_s += self.speed.sample()
+                self._sampled_at = clock()
             return loss, feasible
         return ctc_loss
 
@@ -277,7 +288,7 @@ class Tracer(Probe):
 
     def _backward_hook(self, original):
         def backward(loss):
-            if self.active:
+            if self.active and self.phase == "train":
                 self.count("tape.nodes", len(loss.tape))
             with self.span("tape.backward"):
                 return original(loss)

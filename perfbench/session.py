@@ -18,9 +18,11 @@ how much work each phase gets.
    number of test utterances of each token count, so every seed decodes the
    same histogram of lengths. Each (model, utterance) pair is decoded three
    times; the work is spread in chunks before and between the training
-   jobs, and a pair's latency is the median of its three decodes.
+   jobs, and a pair's latency is the fastest of its three decodes.
 
-Checks run outside the timed regions, and a failed one fails the run.
+Every timed segment is also kept scaled to a reference machine speed
+(``calibrate.py``); the session gets a ``NoSpeed`` when nothing is to be
+scaled. Checks run outside the timed regions, and a failed one fails the run.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import median
 
 import numpy as np
 
@@ -40,9 +41,10 @@ from multiconv.autodiff import Tensor
 from multiconv.config import DataSpec, EncoderConfig, TrainConfig
 from multiconv.encoder import build_model
 
+from calibrate import NoSpeed, Speed
 from probe import Probe, clock
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 GEOMETRY = {"dim": 64, "layers": 2, "heads": 4, "d_inter": 384}
 # (variant name, conv_block, fusion): the six models of acceptance criterion 6
 VARIANTS = (
@@ -56,6 +58,7 @@ VARIANTS = (
 BATCH_SIZE = 4
 LR = 3e-3
 DECODE_PASSES = 3
+REPEAT_STEPS = 8  # steps the repeat check trains again: all of train-long's fixed job
 LOGIT_TOLERANCE = 1e-3  # float32 vs float64 logits, relative to max(1, |logits|)
 # acceptance criterion 6: best dev TER of depth <= 0.05, of every variant <= 0.10.
 # A job that trains to target stops at its variant's threshold.
@@ -70,7 +73,6 @@ def target_ter(variant: str) -> float:
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     corpus: dict            # DataSpec fields; the seed comes from the run
     kernels: tuple[int, ...]
     train_steps: int        # step count per variant, or the cap under a target
@@ -107,8 +109,9 @@ class Workload:
 class VariantRun:
     steps: int = 0
     utts: int = 0
-    job_s: float = 0.0
+    job_s: float = 0.0      # without the speed samples taken inside the job
     stall_s: float = 0.0
+    scale: float = 1.0      # reference speed over the machine's during the job
     best_dev_ter: float = math.inf
     losses: list = field(default_factory=list)
 
@@ -116,8 +119,10 @@ class VariantRun:
 @dataclass
 class SessionResult:
     setup_s: list[float] = field(default_factory=list)
+    setup_scale: list[float] = field(default_factory=list)
     variants: dict[str, VariantRun] = field(default_factory=dict)
-    decode_ms: list[float] = field(default_factory=list)
+    decode_ms: list[float] = field(default_factory=list)      # scaled
+    decode_ms_raw: list[float] = field(default_factory=list)
     decodes: int = 0
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
 
@@ -133,10 +138,19 @@ class SessionResult:
         """Wall time of the training jobs, evaluations and checkpoints included."""
         return sum(v.job_s for v in self.variants.values())
 
-    @property
-    def train_s(self) -> float:
-        """Training time with the evaluation and checkpoint stalls taken out."""
-        return sum(v.job_s - v.stall_s for v in self.variants.values())
+    def utt_per_s(self, stalls: bool, scaled: bool = True) -> float:
+        """Trained utterances per second, every variant weighted alike.
+
+        This is the rate of training the same number of utterances on each
+        variant: ``len(variants) / sum(seconds_v / utterances_v)``. A plain
+        total would move with the seed, because on a job that trains to
+        target the seed sets how many steps each variant takes, and a
+        ``depth`` step costs far more than a ``conformer`` one. ``stalls``
+        says whether the evaluation and checkpoint time counts.
+        """
+        runs = self.variants.values()
+        return len(runs) / sum((v.job_s - (0.0 if stalls else v.stall_s))
+                               * (v.scale if scaled else 1.0) / v.utts for v in runs)
 
 
 def _set_up(wl: Workload, seed: int, work: Path, probe: Probe):
@@ -147,7 +161,7 @@ def _set_up(wl: Workload, seed: int, work: Path, probe: Probe):
     splits = {name: data.load_split(work, name) for name in data.SPLITS}
     models = {name: build_model(wl.encoder_config(block, fusion, seed))
               for name, block, fusion in VARIANTS}
-    return clock() - t0, splits, models
+    return (t0, clock()), splits, models
 
 
 def _train_config(wl: Workload, seed: int, index: int, steps: int) -> TrainConfig:
@@ -160,14 +174,17 @@ def _train_config(wl: Workload, seed: int, index: int, steps: int) -> TrainConfi
                        target_ter=target_ter(VARIANTS[index][0]) if wl.to_target else -1.0)
 
 
-def _train_variant(wl, seed, index, name, model, train, dev, out_dir, probe) -> VariantRun:
+def _train_variant(wl, seed, index, name, model, train, dev, out_dir, probe,
+                   speed: Speed) -> VariantRun:
     run = VariantRun()
     probe.begin_job(name, run.losses)
     t0 = clock()
     result = training.train_model(model, train, dev,
                                   _train_config(wl, seed, index, wl.train_steps), out_dir=out_dir)
-    run.job_s = clock() - t0
+    t1 = clock()
     run.stall_s = probe.end_job()
+    run.job_s = t1 - t0 - probe.speed_s
+    run.scale = speed.scale(t0, t1)
     run.steps = result.steps_run
     run.utts = result.steps_run * BATCH_SIZE
     run.best_dev_ter = result.best_dev_ter
@@ -185,15 +202,17 @@ def _check_variant(res, wl, seed, index, run, served, splits, dev, out_dir, prob
     res.check(f"{name}.checkpoint_reproduces_best", rows and ter == run.best_dev_ter,
               f"reloaded dev TER {ter} vs best {run.best_dev_ter}, {len(rows)} metric rows")
 
-    # a second run of the first step from the same seed gives the same losses
+    # a second run of the first steps from the same seed gives the same
+    # losses; past step 1 they depend on clipping and the Adam updates
+    steps = min(run.steps, REPEAT_STEPS)
     repeat: list = []
     fresh = build_model(wl.encoder_config(block, fusion, seed))
     probe.begin_job(name, repeat, phase="repeat")
-    training.train_model(fresh, splits["train"], dev, _train_config(wl, seed, index, 1))
+    training.train_model(fresh, splits["train"], dev, _train_config(wl, seed, index, steps))
     probe.end_job()
     first = run.losses[:len(repeat)]
-    res.check(f"{name}.step_losses_bit_identical", repeat == first,
-              f"{len(repeat)} losses of step 1 compared")
+    res.check(f"{name}.step_losses_bit_identical", repeat == first and len(repeat) > 0,
+              f"{len(repeat)} losses of steps 1-{steps} compared")
 
     # the float32 model against a float64 copy of the same weights
     wide = build_model(wl.encoder_config(block, fusion, seed), dtype=np.float64)
@@ -226,44 +245,68 @@ class _DecodeJob:
     work list is cut into ``slots`` contiguous chunks, which the session runs
     before the first training job and after each one. The shared machine
     this runs on changes speed for seconds at a time, so a pair's decodes
-    land at different moments, and its latency is their median.
+    land at different moments, and its latency is the fastest of them: a
+    neighbour's load only ever adds time. The median would let a slow
+    phase over two of a pair's three decodes set the pair's latency.
     """
 
     def __init__(self, decoders: dict, utts: list, slots: int):
         self.pairs = [(name, model, utt) for name, model in decoders.items() for utt in utts]
-        work = [k for _ in range(DECODE_PASSES) for k in range(len(self.pairs))]
+        # each pass visits the pairs in its own fixed shuffled order, so a
+        # slow phase lands on scattered pairs, not on a run of one model's
+        # longest utterances, and rarely on all of one pair's decodes
+        work = [int(k) for p in range(DECODE_PASSES)
+                for k in np.random.default_rng(p).permutation(len(self.pairs))]
         cuts = [round(j * len(work) / slots) for j in range(slots + 1)]
         self.chunks = [work[a:b] for a, b in zip(cuts, cuts[1:])]
         self.ms: list[list[float]] = [[] for _ in self.pairs]
+        self.scales: list[list[float]] = [[] for _ in self.pairs]
         self.hyps: list[list] = [[] for _ in self.pairs]
 
-    def run_chunk(self, probe: Probe) -> None:
+    def run_chunk(self, probe: Probe, speed: Speed) -> None:
         probe.phase = "decode"
-        for k in self.chunks.pop(0):
+        chunk = self.chunks.pop(0)
+        speed.sample()
+        start = clock()
+        for k in chunk:
             name, model, utt = self.pairs[k]
             probe.variant = name
             t0 = clock()
             hyp = ctc.greedy_decode(model(Tensor(utt.feats)).data)
             self.ms[k].append(1e3 * (clock() - t0))
             self.hyps[k].append(hyp)
+        end = clock()
+        speed.sample()
+        scale = speed.scale(start, end)
+        for k in chunk:
+            self.scales[k].append(scale)
         probe.phase = "check"
 
     def record(self, res: SessionResult) -> None:
         res.decodes = sum(len(ms) for ms in self.ms)
-        res.decode_ms = [median(ms) for ms in self.ms]
+        res.decode_ms_raw = [min(ms) for ms in self.ms]
+        res.decode_ms = [min(m * f for m, f in zip(ms, fs))
+                         for ms, fs in zip(self.ms, self.scales)]
         res.check("decode.hypotheses_identical_across_passes",
                   all(h == hyps[0] for hyps in self.hyps for h in hyps),
                   f"{DECODE_PASSES} decodes of each of {len(self.pairs)} (model, utterance) pairs")
 
 
-def run_session(wl: Workload, seed: int, scratch: Path, probe: Probe) -> SessionResult:
-    """Run all three phases of ``wl`` under ``probe`` (already installed)."""
+def run_session(wl: Workload, seed: int, scratch: Path, probe: Probe,
+                speed: Speed | None = None) -> SessionResult:
+    """Run all three phases of ``wl`` under ``probe`` (already installed),
+    sampling the machine's speed with ``speed`` if one is given."""
     res = SessionResult()
+    speed = speed or NoSpeed()
+    probe.speed = speed
     tmp = Path(tempfile.mkdtemp(prefix=f"{wl.name}-", dir=scratch))
     try:
+        speed.sample()
         for i in range(SETUP_REPEATS):
-            seconds, splits, models = _set_up(wl, seed, tmp / f"corpus{i}", probe)
-            res.setup_s.append(seconds)
+            (t0, t1), splits, models = _set_up(wl, seed, tmp / f"corpus{i}", probe)
+            speed.sample()
+            res.setup_s.append(t1 - t0)
+            res.setup_scale.append(speed.scale(t0, t1))
         spec = DataSpec(**wl.corpus)
         tokens = range(spec.min_tokens, spec.max_tokens + 1)
         utts = decode_set(splits["test"], tokens, wl.decode_per_length)
@@ -278,11 +321,11 @@ def run_session(wl: Workload, seed: int, scratch: Path, probe: Probe) -> Session
                 instrument(model)
         dev = splits["dev"][:wl.dev_utts]
         decode = _DecodeJob(decoders, utts, slots=len(VARIANTS) + 1)
-        decode.run_chunk(probe)
+        decode.run_chunk(probe, speed)
         for index, (name, block, fusion) in enumerate(VARIANTS):
             out_dir = tmp / f"run-{name}"
             run = _train_variant(wl, seed, index, name, models[name], splits["train"], dev,
-                                 out_dir, probe)
+                                 out_dir, probe, speed)
             res.variants[name] = run
             probe.variant = name
             served = build_model(wl.encoder_config(block, fusion, seed))
@@ -290,7 +333,7 @@ def run_session(wl: Workload, seed: int, scratch: Path, probe: Probe) -> Session
                 instrument(served)
             checkpoint.load_model(out_dir / "model.mckpt", served)
             _check_variant(res, wl, seed, index, run, served, splits, dev, out_dir, probe)
-            decode.run_chunk(probe)
+            decode.run_chunk(probe, speed)
         decode.record(res)
         if wl.to_target:
             ters = {name: run.best_dev_ter for name, run in res.variants.items()}
@@ -298,5 +341,6 @@ def run_session(wl: Workload, seed: int, scratch: Path, probe: Probe) -> Session
                       all(ter <= target_ter(name) for name, ter in ters.items()),
                       "best dev TER " + ", ".join(f"{k} {v:.3f}" for k, v in ters.items()))
     finally:
+        probe.speed = None
         shutil.rmtree(tmp, ignore_errors=True)
     return res
