@@ -119,8 +119,9 @@ class Tape:
     """Ordered record of the operations of one forward pass.
 
     Use as a context manager around the computation whose gradients are
-    needed. Tapes are one-shot: a second ``backward`` without ``reset``
-    raises :class:`StateError`. A tape and its intermediate tensors belong
+    needed. Tapes are one-shot: ``backward`` drops the recorded nodes when
+    it returns, and a second ``backward`` without ``reset`` raises
+    :class:`StateError`. A tape and its intermediate tensors belong
     to a single worker; parameters may be shared read-only across tapes.
     """
 
@@ -193,6 +194,10 @@ def backward(loss: Tensor) -> None:
                 tensor.grad = gi
             else:
                 tensor.grad += gi
+    # every recorded tensor points back at the tape, so the nodes (and the
+    # activations their backward rules hold) would otherwise live until a
+    # cyclic garbage collection; the tape stays spent
+    tape._nodes.clear()
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -243,6 +248,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g.copy()
 
     return record(out, (a, b), bwd)
+
+
+def add_n(parts: Sequence[Tensor]) -> Tensor:
+    """Elementwise sum of equally shaped tensors, as one node."""
+    if not parts:
+        raise ContractError("add_n: empty part list")
+    for p in parts[1:]:
+        _require_same_shape("add_n", parts[0], p)
+    acc = parts[0].data.copy()
+    for p in parts[1:]:
+        acc += p.data
+
+    def bwd(g):
+        return [g] + [g.copy() for _ in parts[1:]]
+
+    return record(Tensor(acc), tuple(parts), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -25,6 +25,12 @@ Four fusion rules are provided:
 With a single kernel and ``sum`` fusion the unit reduces to the plain
 convolutional spatial gating unit, implemented independently in
 :class:`Csgu` as a cross-check target.
+
+Parameters are held per branch, but the branches run folded: ``sum`` as one
+depthwise convolution with the centred, summed kernels, ``concat``/``depth``
+as one grouped convolution with the centred kernels stacked, and
+``weighted`` with its P branch outputs mixed in one step. Gradients of a
+folded kernel are cropped back to each branch.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat_channels, mul, scale_rows, slice_channels, split_channels
+from .autodiff import Tensor, add_bias, add_n, mul, record, split_channels
 from .errors import ConfigError, ShapeError
 from .layers import (
     DepthwiseConv1d,
@@ -43,9 +49,11 @@ from .layers import (
     LayerNorm,
     Linear,
     Module,
+    depthwise_conv,
     dropout,
     gelu,
     glu,
+    grouped_conv,
     softmax,
     swish,
 )
@@ -98,6 +106,76 @@ def fusion_param_count(fusion: FusionKind, d_inter: int, kernels: Sequence[int])
     if fusion is FusionKind.DEPTH:
         return grouped + (half * max(kernels) + half)
     raise ConfigError(f"unhandled fusion {fusion}")
+
+
+def fold_taps(kernels: Sequence[Tensor], width: int, stack: bool) -> Tensor:
+    """Merge branch kernels into one kernel of ``width`` taps, as one tape node.
+
+    Each kernel is centred in ``width`` zero taps along its last axis. With
+    ``stack=False`` the padded kernels are summed (``sum`` fusion: [C, k_i]
+    -> [C, width]); with ``stack=True`` they are concatenated along axis 1,
+    the output-per-group axis of a grouped kernel (``concat``/``depth``:
+    [G, 1, I, k_i] -> [G, P, I, width]). Backward crops each branch's taps
+    out of the merged kernel's gradient.
+    """
+    first = kernels[0].data
+    if stack:
+        rows = sum(w.shape[1] for w in kernels)
+        merged = np.zeros((first.shape[0], rows, *first.shape[2:-1], width), dtype=first.dtype)
+    else:
+        merged = np.zeros((*first.shape[:-1], width), dtype=first.dtype)
+    spots = []
+    row = 0
+    for w in kernels:
+        k = w.shape[-1]
+        taps = slice((width - k) // 2, (width + k) // 2)
+        if stack:
+            spot = (slice(None), slice(row, row + w.shape[1]), Ellipsis, taps)
+            row += w.shape[1]
+        else:
+            spot = (Ellipsis, taps)
+        merged[spot] += w.data
+        spots.append(spot)
+
+    def bwd(g):
+        return [g[spot].copy() for spot in spots]
+
+    return record(Tensor(merged), tuple(kernels), bwd)
+
+
+def mix_rows(parts: Sequence[Tensor], alpha: Tensor) -> Tensor:
+    """Per-frame mixture sum_i alpha[t, i] * parts[i][t, :] of P [T, C]
+    tensors by alpha[T, P], as one tape node."""
+    a = alpha.data
+    acc = parts[0].data * a[:, 0:1]
+    for i, v in enumerate(parts[1:], start=1):
+        acc += v.data * a[:, i:i + 1]
+
+    def bwd(g):
+        grads = [g * a[:, i:i + 1] for i in range(len(parts))]
+        d_alpha = np.stack([(g * v.data).sum(axis=1) for v in parts], axis=1)
+        return (*grads, d_alpha)
+
+    return record(Tensor(acc), (*parts, alpha), bwd)
+
+
+def branch_major(y: Tensor, biases: Sequence[Tensor]) -> Tensor:
+    """Reorder a folded grouped conv's output [T, G*P] (group-major: channel
+    g*P + i is branch i, group g) into the branch-major order of
+    concatenated branch outputs (channel i*G + g), adding branch i's bias
+    [G] to its block, as one tape node."""
+    t = y.shape[0]
+    p = len(biases)
+    groups = y.shape[1] // p
+    bias = np.concatenate([b.data for b in biases])
+    out = y.data.reshape(t, groups, p).transpose(0, 2, 1).reshape(t, p * groups) + bias
+
+    def bwd(g):
+        gy = g.reshape(t, p, groups).transpose(0, 2, 1).reshape(t, groups * p)
+        gb = g.sum(axis=0)
+        return (gy, *(gb[i * groups:(i + 1) * groups] for i in range(p)))
+
+    return record(Tensor(out), (y, *biases), bwd)
 
 
 @dataclass
@@ -156,21 +234,21 @@ class Mcsgu(Module):
             raise ShapeError(f"gating unit expects [T, {self.d_inter}], got {a.shape}")
         z_l, z_r = split_channels(a, self.half)
         z_r = self.norm(z_r)
-        branch_outs = [conv(z_r) for conv in self.branches]
+        k_max = self.kernels[-1]
+        # the branch parameters are read on every call, so swapping one
+        # (as the gradient audit does) reaches the folded kernel
         if self.fusion is FusionKind.SUM:
-            fused = branch_outs[0]
-            for v in branch_outs[1:]:
-                fused = add(fused, v)
+            w = fold_taps([conv.weight for conv in self.branches], k_max, stack=False)
+            b = add_n([conv.bias for conv in self.branches])
+            fused = add_bias(depthwise_conv(z_r, w), b)
         elif self.fusion is FusionKind.WEIGHTED:
             alpha = softmax(self.gate(z_r))
             if gate_capture is not None:
                 gate_capture.append(GateMap(layer=layer_index, alpha=alpha.data.copy()))
-            fused = None
-            for i, v in enumerate(branch_outs):
-                term = scale_rows(v, slice_channels(alpha, i, i + 1))
-                fused = term if fused is None else add(fused, term)
+            fused = mix_rows([conv(z_r) for conv in self.branches], alpha)
         else:
-            fused = concat_channels(branch_outs)
+            w = fold_taps([conv.weight for conv in self.branches], k_max, stack=True)
+            fused = branch_major(grouped_conv(z_r, w), [conv.bias for conv in self.branches])
             if self.final_conv is not None:
                 fused = self.final_conv(fused)
         return mul(z_l, fused)

@@ -330,6 +330,12 @@ def _composite_cases(seed: int) -> list[_Case]:
 
     case("mcsgu_sum.branch_w", sum_w, rng.normal(size=(6, 5)))
 
+    def sum_b(t):
+        unit_sum.branches[0].bias = t
+        return red(unit_sum(Tensor(x_unit)))
+
+    case("mcsgu_sum.branch_b", sum_b, rng.normal(size=6))
+
     unit_cat = Mcsgu(12, (3, 5), FusionKind.CONCAT, rng, dtype=np.float64)
 
     def cat_w(t):
@@ -338,6 +344,12 @@ def _composite_cases(seed: int) -> list[_Case]:
 
     case("mcsgu_concat.branch_w", cat_w, rng.normal(size=unit_cat.branches[0].weight.shape))
 
+    def cat_b(t):
+        unit_cat.branches[1].bias = t
+        return red(unit_cat(Tensor(x_unit)))
+
+    case("mcsgu_concat.branch_b", cat_b, rng.normal(size=3))
+
     unit_wt = Mcsgu(12, (3, 5), FusionKind.WEIGHTED, rng, dtype=np.float64)
 
     def wt_gate(t):
@@ -345,6 +357,14 @@ def _composite_cases(seed: int) -> list[_Case]:
         return red(unit_wt(Tensor(x_unit)))
 
     case("mcsgu_weighted.gate_w", wt_gate, rng.normal(size=(6, 2)))
+    gate_w0 = Tensor(rng.normal(size=(6, 2)))
+
+    def wt_w(t):
+        unit_wt.gate.weight = gate_w0  # a mixture that varies over frames
+        unit_wt.branches[0].weight = t
+        return red(unit_wt(Tensor(x_unit)))
+
+    case("mcsgu_weighted.branch_w", wt_w, rng.normal(size=(6, 3)))
 
     unit_dep = Mcsgu(12, (3, 5), FusionKind.DEPTH, rng, dtype=np.float64)
 
@@ -353,6 +373,12 @@ def _composite_cases(seed: int) -> list[_Case]:
         return red(unit_dep(Tensor(x_unit)))
 
     case("mcsgu_depth.final_w", dep_final, rng.normal(size=(6, 5)))
+
+    def dep_w(t):
+        unit_dep.branches[1].weight = t
+        return red(unit_dep(Tensor(x_unit)))
+
+    case("mcsgu_depth.branch_w", dep_w, rng.normal(size=unit_dep.branches[1].weight.shape))
 
     for fusion in FusionKind:
         block = MultiConvBlock(6, 8, (3, 5), fusion, rng, dtype=np.float64)

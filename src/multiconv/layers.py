@@ -192,6 +192,75 @@ class LayerNorm(Module):
         return record(out, (x, gamma, beta), bwd)
 
 
+def depthwise_conv(x: Tensor, w: Tensor) -> Tensor:
+    """Per-channel convolution over time of x[T, C] with w[C, k], same-length
+    zero padding (k odd): out[t, c] = sum_j x[t + j - k//2, c] * w[c, j].
+
+    Runs as one shifted multiply-add per tap, forward and backward.
+    """
+    t, c = x.shape
+    k = w.shape[1]
+    half = k // 2
+    xpad = np.zeros((t + k - 1, c), dtype=x.data.dtype)
+    xpad[half:half + t] = x.data
+    acc = np.zeros((t, c), dtype=x.data.dtype)
+    for j in range(k):
+        acc += xpad[j:j + t] * w.data[:, j]
+    out = Tensor(acc)
+
+    def bwd(g):
+        dw = np.empty_like(w.data)
+        for j in range(k):
+            dw[:, j] = np.einsum("tc,tc->c", xpad[j:j + t], g)
+        gpad = np.zeros_like(xpad)
+        for j in range(k):
+            gpad[j:j + t] += g * w.data[:, j]
+        return gpad[half:half + t], dw
+
+    return record(out, (x, w), bwd)
+
+
+def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:
+    """Same-padded time windows of x[T, groups*n] as [groups, T, k*n]: row t
+    of group g holds frames t - k//2 .. t + k//2 of that group's n lanes,
+    frame-major. Each row is one contiguous run of the padded input."""
+    t = x.shape[0]
+    n = x.shape[1] // groups
+    half = k // 2
+    xpad = np.zeros((groups, (t + k - 1) * n), dtype=x.dtype)
+    lanes = xpad.reshape(groups, t + k - 1, n)
+    lanes[:, half:half + t] = x.reshape(t, groups, n).transpose(1, 0, 2)
+    win = np.lib.stride_tricks.sliding_window_view(xpad, k * n, axis=1)[:, ::n]
+    return np.ascontiguousarray(win)
+
+
+def grouped_conv(x: Tensor, w: Tensor) -> Tensor:
+    """Grouped convolution over time of x[T, G*I] with w[G, O, I, k], same-length
+    zero padding (k odd). Output block g (channels g*O .. g*O+O-1) is computed
+    from input block g only.
+
+    Runs as im2col plus one batched matmul over the groups. Backward gets dW
+    from the saved columns by a second batched matmul, and dx as the same
+    convolution of the output gradient with the in/out-swapped, tap-flipped
+    kernel.
+    """
+    groups, opg, ipg, k = w.shape
+    t = x.shape[0]
+    cols = _im2col(x.data, k, groups)  # [G, T, k*I]
+    w2 = w.data.transpose(0, 1, 3, 2).reshape(groups, opg, k * ipg)
+    y = cols @ w2.transpose(0, 2, 1)  # [G, T, O]
+    out = Tensor(y.transpose(1, 0, 2).reshape(t, groups * opg))
+
+    def bwd(g):
+        g3 = g.reshape(t, groups, opg).transpose(1, 2, 0)  # [G, O, T]
+        dw = (g3 @ cols).reshape(groups, opg, k, ipg).transpose(0, 1, 3, 2)
+        flipped = w.data[..., ::-1].transpose(0, 2, 3, 1).reshape(groups, ipg, k * opg)
+        dx = _im2col(g, k, groups) @ flipped.transpose(0, 2, 1)  # [G, T, I]
+        return dx.transpose(1, 0, 2).reshape(t, groups * ipg), np.ascontiguousarray(dw)
+
+    return record(out, (x, w), bwd)
+
+
 class DepthwiseConv1d(Module):
     """Per-channel 1-d convolution over time with same-length zero padding.
 
@@ -212,26 +281,7 @@ class DepthwiseConv1d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"depthwise conv over {self.channels} channels got {x.shape}")
-        t, c = x.shape
-        k, half = self.kernel, self.kernel // 2
-        w = self.weight
-        xpad = np.zeros((t + k - 1, c), dtype=x.data.dtype)
-        xpad[half:half + t] = x.data
-        acc = np.zeros((t, c), dtype=x.data.dtype)
-        for j in range(k):
-            acc += xpad[j:j + t] * w.data[:, j]
-        out = Tensor(acc)
-
-        def bwd(g):
-            dw = np.empty_like(w.data)
-            for j in range(k):
-                dw[:, j] = (xpad[j:j + t] * g).sum(axis=0)
-            gpad = np.zeros_like(xpad)
-            for j in range(k):
-                gpad[j:j + t] += g * w.data[:, j]
-            return gpad[half:half + t], dw
-
-        y = record(out, (x, w), bwd)
+        y = depthwise_conv(x, self.weight)
         if self.bias is not None:
             y = add_bias(y, self.bias)
         return y
@@ -266,29 +316,7 @@ class GroupedConv1d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_channels:
             raise ShapeError(f"grouped conv over {self.in_channels} channels got {x.shape}")
-        t = x.shape[0]
-        k, half, groups = self.kernel, self.kernel // 2, self.groups
-        ipg = self.in_channels // groups
-        opg = self.out_channels // groups
-        w = self.weight
-        xpad = np.zeros((t + k - 1, self.in_channels), dtype=x.data.dtype)
-        xpad[half:half + t] = x.data
-        # windows[t, g, i, j] = padded input at time t+j, group g, lane i
-        win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=0)
-        win = win.reshape(t + k - 1 - (k - 1), groups, ipg, k)
-        acc = np.einsum("tgij,goij->tgo", win, w.data, optimize=True)
-        out = Tensor(np.ascontiguousarray(acc.reshape(t, self.out_channels)))
-
-        def bwd(g_out):
-            g3 = g_out.reshape(t, groups, opg)
-            dw = np.einsum("tgij,tgo->goij", win, g3, optimize=True)
-            gpad = np.zeros_like(xpad)
-            gp3 = gpad.reshape(t + k - 1, groups, ipg)
-            for j in range(k):
-                gp3[j:j + t] += np.einsum("tgo,goi->tgi", g3, w.data[..., j], optimize=True)
-            return gpad[half:half + t], dw
-
-        y = record(out, (x, w), bwd)
+        y = grouped_conv(x, self.weight)
         if self.bias is not None:
             y = add_bias(y, self.bias)
         return y

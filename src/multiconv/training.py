@@ -245,6 +245,7 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
                 loss, feasible = ctc_loss(logits, utt.tokens)
                 if not feasible:
                     n_infeasible += 1
+                    tape.reset()  # no backward will free this pass's graph
                     continue
                 if not math.isfinite(loss.item()):
                     raise IntegrityError(

@@ -57,6 +57,28 @@ def grouped_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
+def grouped_conv_grads_loops(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                             groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dx, dw) of sum(g * grouped_conv_loops(x, w, None, groups)),
+    by scattering each output gradient back along the taps that produced it."""
+    t_len, _ = x.shape
+    _, opg, ipg, k = w.shape
+    half = k // 2
+    dx = np.zeros(x.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    for t in range(t_len):
+        for grp in range(groups):
+            for o in range(opg):
+                go = g[t, grp * opg + o]
+                for i in range(ipg):
+                    for j in range(k):
+                        src = t + j - half
+                        if 0 <= src < t_len:
+                            dx[src, grp * ipg + i] += go * w[grp, o, i, j]
+                            dw[grp, o, i, j] += go * x[src, grp * ipg + i]
+    return dx, dw
+
+
 def conv2d_stride2_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 stride-2 valid convolution; w is [cin*3*3, cout] with the patch
     flattened as (channel, row, col) to match the package layout."""

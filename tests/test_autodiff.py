@@ -1,6 +1,8 @@
 """Tape mechanics and the core differentiable ops."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -114,6 +116,31 @@ def test_constant_graph_not_recorded():
     with tape:
         scale(add(Tensor(np.ones(2)), Tensor(np.ones(2))), 3.0)
     assert len(tape) == 0
+
+
+def test_backward_frees_the_graph_without_a_cyclic_collection():
+    # every recorded tensor points at its tape and the tape at its nodes;
+    # backward must break that cycle, so plain reference counting frees an
+    # intermediate activation once the caller drops its own references
+    x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = Tape()
+        with tape:
+            hidden = mul(x, x)
+            loss = tsum(scale(hidden, 3.0))
+        freed = weakref.ref(hidden.data)
+        backward(loss)
+        assert len(tape) == 0
+        with pytest.raises(StateError):
+            backward(loss)
+        del hidden, loss
+        assert freed() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert np.allclose(x.grad, 6.0 * x.data)
 
 
 def test_backward_rejects_non_scalar():

@@ -8,12 +8,16 @@ caught and returned.
 import csv
 import io
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from multiconv.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DATA_FLAGS = ["--vocab", "3", "--n-train", "8", "--n-dev", "4",
               "--n-test", "2", "--min-tokens", "2", "--max-tokens", "3",
@@ -206,9 +210,16 @@ def test_grad_check_passes(capsys):
     assert not any(line.startswith("FAIL") for line in out)
 
 
-def test_console_script_is_installed():
-    exe = shutil.which("multiconv")
-    assert exe, "console script 'multiconv' not on PATH"
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+def test_console_script_entry_point():
+    # the console script only exists once the package is pip-installed, so
+    # check what it would run: the declared target, and that target itself
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert meta["project"]["scripts"]["multiconv"] == "multiconv.cli:main"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "multiconv.cli", "--help"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from multiconv.autodiff import Tensor
+from multiconv.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    concat_channels,
+    mul,
+    scale_rows,
+    slice_channels,
+    split_channels,
+    tsum,
+)
 from multiconv.conv_blocks import (
     ConformerConvBlock,
     Csgu,
@@ -16,6 +27,7 @@ from multiconv.conv_blocks import (
     parse_fusion,
 )
 from multiconv.errors import ConfigError, ShapeError
+from multiconv.layers import softmax
 
 RNG = np.random.default_rng(55)
 
@@ -198,3 +210,70 @@ def test_csgu_block_and_conformer_block_shapes():
 def test_conformer_block_single_frame():
     conf = ConformerConvBlock(6, 5, np.random.default_rng(4), dtype=np.float64)
     assert conf(Tensor(RNG.normal(size=(1, 6)))).shape == (1, 6)
+
+
+def _unfused(unit, a):
+    """The gating unit as written in its definition: every branch module run
+    on its own, then fused by the rule. Reference for the folded forward."""
+    z_l, z_r = split_channels(a, unit.half)
+    z_r = unit.norm(z_r)
+    outs = [conv(z_r) for conv in unit.branches]
+    if unit.fusion is FusionKind.SUM:
+        fused = outs[0]
+        for v in outs[1:]:
+            fused = add(fused, v)
+    elif unit.fusion is FusionKind.WEIGHTED:
+        alpha = softmax(unit.gate(z_r))
+        fused = scale_rows(outs[0], slice_channels(alpha, 0, 1))
+        for i, v in enumerate(outs[1:], start=1):
+            fused = add(fused, scale_rows(v, slice_channels(alpha, i, i + 1)))
+    else:
+        fused = concat_channels(outs)
+        if unit.final_conv is not None:
+            fused = unit.final_conv(fused)
+    return mul(z_l, fused)
+
+
+def _run_with_grads(unit, forward, a, proj):
+    unit.zero_grad()
+    at = Tensor(a, requires_grad=True)
+    with Tape():
+        out = forward(at)
+        backward(tsum(mul(out, Tensor(proj))))
+    return [out.data, at.grad] + [t.grad for t in unit.parameters()]
+
+
+@pytest.mark.parametrize("fusion", list(FusionKind))
+@pytest.mark.parametrize("kernels", [(3,), (1, 3, 7), (7, 15, 23, 31)])
+@pytest.mark.parametrize("length", ["one", "short", "long"])
+def test_folded_unit_matches_unfused_formula(fusion, kernels, length):
+    # d_inter 24: the gate width 12 is divisible by P = 1, 3 and 4
+    t_len = {"one": 1, "short": kernels[-1] - 1 or 1, "long": kernels[-1] + 5}[length]
+    unit = _unit(fusion, d_inter=24, kernels=kernels, seed=17)
+    rng = np.random.default_rng(len(kernels) * 100 + t_len)
+    if unit.gate is not None:  # leave the uniform start so the mixture varies
+        unit.gate.weight.data = rng.normal(size=unit.gate.weight.shape)
+    a = rng.normal(size=(t_len, 24))
+    proj = rng.normal(size=(t_len, 12))
+    folded = _run_with_grads(unit, unit, a, proj)
+    unfused = _run_with_grads(unit, lambda at: _unfused(unit, at), a, proj)
+    assert len(folded) == 2 + len(unit.parameters())
+    for got, want in zip(folded, unfused):
+        assert got is not None and want is not None
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("fusion", list(FusionKind))
+def test_folded_unit_node_count_does_not_grow_with_branches(fusion):
+    # sum/concat/depth fold the P branch convs into one; weighted mixes them
+    # in one node; either way the node count does not grow with P
+    counts = []
+    for kernels in ((3,), (3, 5, 7, 9)):
+        unit = _unit(fusion, d_inter=24, kernels=kernels)
+        with Tape() as tape:
+            unit(Tensor(RNG.normal(size=(6, 24)), requires_grad=True))
+        counts.append(len(tape))
+    if fusion is FusionKind.WEIGHTED:
+        assert counts[1] - counts[0] == 2 * 3  # one conv and one bias per extra branch
+    else:
+        assert counts[1] == counts[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from multiconv.autodiff import Tape, Tensor, backward, tsum
+from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import (
     Conv2dDown,
@@ -17,9 +17,11 @@ from multiconv.layers import (
     Linear,
     Module,
     Subsampler,
+    depthwise_conv,
     dropout,
     gelu,
     glu,
+    grouped_conv,
     sigmoid,
     sinusoid_table,
     softmax,
@@ -156,6 +158,44 @@ def test_grouped_conv_matches_loop_oracle(cin, cout, groups, kernel):
     x = RNG.normal(size=(9, cin))
     expected = oracles.grouped_conv_loops(x, conv.weight.data, conv.bias.data, groups)
     assert np.allclose(conv(Tensor(x)).data, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_len", [1, 4, 13])
+@pytest.mark.parametrize("groups,opg,ipg,kernel", [
+    (3, 4, 4, 7),   # a folded concat kernel: P=4 branches per group
+    (2, 1, 3, 5),
+    (4, 2, 1, 1),
+    (1, 3, 2, 9),   # kernel wider than some inputs
+])
+def test_grouped_conv_op_and_gradients_match_loop_oracles(t_len, groups, opg, ipg, kernel):
+    x = RNG.normal(size=(t_len, groups * ipg))
+    w = RNG.normal(size=(groups, opg, ipg, kernel))
+    g = RNG.normal(size=(t_len, groups * opg))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape():
+        y = grouped_conv(xt, wt)
+        backward(tsum(mul(y, Tensor(g))))
+    assert np.allclose(y.data, oracles.grouped_conv_loops(x, w, None, groups), atol=1e-12)
+    dx, dw = oracles.grouped_conv_grads_loops(x, w, g, groups)
+    assert np.allclose(xt.grad, dx, atol=1e-12)
+    assert np.allclose(wt.grad, dw, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_len,kernel", [(1, 3), (4, 7), (13, 5)])
+def test_depthwise_conv_op_gradients_match_grouped_oracle(t_len, kernel):
+    # a depthwise conv is a grouped one with one lane in and out per group
+    c = 3
+    x = RNG.normal(size=(t_len, c))
+    w = RNG.normal(size=(c, kernel))
+    g = RNG.normal(size=(t_len, c))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    with Tape():
+        y = depthwise_conv(xt, wt)
+        backward(tsum(mul(y, Tensor(g))))
+    assert np.allclose(y.data, oracles.depthwise_conv_loops(x, w, None), atol=1e-12)
+    dx, dw = oracles.grouped_conv_grads_loops(x, w.reshape(c, 1, 1, kernel), g, c)
+    assert np.allclose(xt.grad, dx, atol=1e-12)
+    assert np.allclose(wt.grad, dw.reshape(c, kernel), atol=1e-12)
 
 
 def test_grouped_conv_validation():
