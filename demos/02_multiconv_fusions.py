@@ -20,7 +20,7 @@ Run it with:  python3 demos/02_multiconv_fusions.py
 
 import numpy as np
 
-from multiconv import Csgu, FusionKind, Mcsgu, Tensor, fusion_param_count
+from multiconv import FusionKind, Mcsgu, Tensor, fusion_param_count
 
 D_INTER = 48           # expanded width entering the unit; the gate halves it
 KERNELS = (3, 7, 11)   # three branch widths, P = 3
@@ -38,16 +38,18 @@ for fusion in FusionKind:
     print(f"  {fusion.value:<9s} out {out.shape}   unit params {n_params:>5,} "
           f"(fusion part {formula:,})")
 
-# 2. P=1 with sum fusion is exactly the single-kernel gating unit
+# 2. P=1 with sum fusion is exactly the single-kernel gating unit: the left
+# half times a width-7 depthwise convolution of the layer-normed right half
 multi = Mcsgu(D_INTER, (7,), FusionKind.SUM, np.random.default_rng(2), dtype=np.float64)
-plain = Csgu(D_INTER, 7, np.random.default_rng(3), dtype=np.float64)
-plain.norm.gamma.data = multi.norm.gamma.data.copy()
-plain.norm.beta.data = multi.norm.beta.data.copy()
-plain.conv.weight.data = multi.branches[0].weight.data.copy()
-plain.conv.bias.data = multi.branches[0].bias.data.copy()
 x = Tensor(rng.normal(size=(10, D_INTER)))
-gap = np.abs(multi(x).data - plain(x).data).max()
-print(f"single-kernel reduction: max |multi - plain| = {gap:.2e}")
+left, right = x.data[:, :D_INTER // 2], x.data[:, D_INTER // 2:]
+centred = right - right.mean(axis=1, keepdims=True)
+normed = centred / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + 1e-12)
+padded = np.pad(normed, ((3, 3), (0, 0)))
+w, b = multi.branches[0].weight.data, multi.branches[0].bias.data
+conv = sum(padded[j:j + len(normed)] * w[:, j] for j in range(7)) + b
+gap = np.abs(multi(x).data - left * conv).max()
+print(f"single-kernel reduction: max |unit - formula| = {gap:.2e}")
 assert gap < 1e-12
 
 # 3. the weighted gate projection starts at zero, so before any training the

@@ -20,7 +20,6 @@ from .checkpoint import load_arrays, load_model, save_arrays, save_model
 from .config import DataSpec, EncoderConfig, TrainConfig
 from .conv_blocks import (
     ConformerConvBlock,
-    Csgu,
     CsguBlock,
     FusionKind,
     GateMap,
@@ -49,7 +48,6 @@ __all__ = [
     "ConfigError",
     "ConformerConvBlock",
     "ContractError",
-    "Csgu",
     "CsguBlock",
     "CtcModel",
     "DataSpec",

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import analysis
 from .checkpoint import load_model
-from .config import DataSpec, EncoderConfig, TrainConfig
-from .data import generate_dataset, load_spec, load_split
+from .config import CONV_BLOCKS, FUSIONS, DataSpec, EncoderConfig, TrainConfig, check_kernels
+from .data import SPLITS, generate_dataset, load_spec, load_split
 from .encoder import build_model
 from .errors import ConfigError
 from .gradcheck import run_suite
@@ -36,18 +36,14 @@ class _Parser(argparse.ArgumentParser):
 def _parse_kernels(text: str) -> tuple[int, ...]:
     """argparse type for --kernels; a bad list is a usage error (exit 1)."""
     try:
-        kernels = tuple(int(part) for part in text.split(","))
+        kernels = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"kernels must be comma-separated integers, got {text!r}") from None
-    for k in kernels:
-        if k < 1 or k % 2 == 0:
-            raise argparse.ArgumentTypeError(
-                f"kernel widths must be odd and positive, got {k}")
-    if any(b <= a for a, b in zip(kernels, kernels[1:])):
-        raise argparse.ArgumentTypeError(
-            f"kernel widths must be strictly increasing, got {text!r}")
-    return kernels
+    try:
+        return check_kernels(kernels)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # flags that map one-to-one onto EncoderConfig fields; None means "not passed"
@@ -66,9 +62,9 @@ def _add_encoder_flags(p: argparse.ArgumentParser, with_data_fields: bool) -> No
                    help="conv-block expansion width, 0 means 6*dim (default 0)")
     p.add_argument("--d-ffn", type=int, default=None,
                    help="feed-forward width, 0 means 4*dim (default 0)")
-    p.add_argument("--conv-block", choices=("multiconv", "csgu", "conformer"),
+    p.add_argument("--conv-block", choices=CONV_BLOCKS,
                    default=None, help="convolution half-block (default multiconv)")
-    p.add_argument("--fusion", choices=("sum", "weighted", "concat", "depth"),
+    p.add_argument("--fusion", choices=FUSIONS,
                    default=None, help="multi-kernel fusion rule (default depth)")
     p.add_argument("--kernels", type=_parse_kernels, default=None,
                    help="comma-separated odd increasing widths (default 3,7,11,15)")
@@ -154,11 +150,12 @@ def _cmd_train(args) -> int:
     dev_utts = load_split(args.data, "dev")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # written first, so an interrupted run still leaves a loadable directory
+    cfg.save(out / "encoder.json")
+    tcfg.save(out / "train.json")
     model = build_model(cfg)
     result = train_model(model, train_utts, dev_utts, tcfg, out_dir=out,
                          log=None if args.quiet else print)
-    cfg.save(out / "encoder.json")
-    tcfg.save(out / "train.json")
     if result.n_infeasible:
         print(f"warning: skipped {result.n_infeasible} utterance passes "
               f"too short for their labels", file=sys.stderr)
@@ -292,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a trained model on a split")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--split", choices=("train", "dev", "test"), default="dev")
+    p.add_argument("--split", choices=SPLITS, default="dev")
     p.add_argument("--out", type=Path, default=None,
                    help="optional per-utterance CSV path")
     p.set_defaults(func=_cmd_eval)
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ana.add_parser("diagonality", help="attention alignment per layer and head")
     q.add_argument("--data", type=Path, required=True)
     q.add_argument("--model", type=Path, required=True)
-    q.add_argument("--split", choices=("train", "dev", "test"), default="dev")
+    q.add_argument("--split", choices=SPLITS, default="dev")
     q.add_argument("--utts", type=int, default=8)
     q.add_argument("--out", type=Path, default=None, help="optional CSV path")
     q.set_defaults(func=_cmd_diagonality)
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ana.add_parser("gate-importance", help="learned kernel mixture weights")
     q.add_argument("--data", type=Path, required=True)
     q.add_argument("--model", type=Path, required=True)
-    q.add_argument("--split", choices=("train", "dev", "test"), default="dev")
+    q.add_argument("--split", choices=SPLITS, default="dev")
     q.add_argument("--utts", type=int, default=8)
     q.add_argument("--out", type=Path, default=None, help="optional CSV path")
     q.set_defaults(func=_cmd_gate_importance)

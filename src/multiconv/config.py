@@ -3,6 +3,11 @@
 Each record is a frozen dataclass with ``save``/``load`` JSON helpers. The
 JSON round trip is exact: ints stay ints, floats go through repr, and loads
 reject unknown keys so stale files fail loudly instead of half-applying.
+A file that is not JSON, or holds a value of the wrong type, fails with
+:class:`~multiconv.errors.ConfigError` too.
+
+The names of the conv blocks and the fusion rules, and the kernel-list
+rule, are defined here once; the model, the CLI and the loaders use these.
 """
 
 from __future__ import annotations
@@ -10,15 +15,70 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from enum import Enum
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ConfigError
 
-_CONV_BLOCKS = ("multiconv", "csgu", "conformer")
-_FUSIONS = ("sum", "weighted", "concat", "depth")
+
+class FusionKind(str, Enum):
+    SUM = "sum"
+    WEIGHTED = "weighted"
+    CONCAT = "concat"
+    DEPTH = "depth"
+
+
+FUSIONS = tuple(kind.value for kind in FusionKind)
+CONV_BLOCKS = ("multiconv", "csgu", "conformer")
+
+
+def parse_fusion(name: str) -> FusionKind:
+    try:
+        return FusionKind(name)
+    except ValueError:
+        raise ConfigError(
+            f"unknown fusion {name!r}; expected one of {', '.join(FUSIONS)}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_kernels(kernels) -> tuple[int, ...]:
+    """Validate a kernel-width list: non-empty, integers, odd, positive and
+    strictly increasing. Returns it as a tuple of ints."""
+    kernels = tuple(kernels)
+    if not kernels:
+        raise ConfigError("at least one kernel width is required")
+    for k in kernels:
+        if not _is_int(k):
+            raise ConfigError(f"kernel widths must be integers, got {k!r}")
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"kernel widths must be odd and positive, got {k}")
+    kernels = tuple(int(k) for k in kernels)
+    if any(b <= a for a, b in zip(kernels, kernels[1:])):
+        raise ConfigError(f"kernel widths must be strictly increasing, got {kernels}")
+    return kernels
+
+
+def _typed(name: str, annotation: str, value, path):
+    """``value`` as the field's annotated type, or a ConfigError."""
+    if annotation == "tuple[int, ...]" and isinstance(value, list) \
+            and all(_is_int(v) for v in value):
+        return tuple(value)
+    if annotation == "int" and _is_int(value):
+        return value
+    if annotation == "float" and (_is_int(value) or isinstance(value, float)):
+        return float(value)
+    if annotation == "str" and isinstance(value, str):
+        return value
+    raise ConfigError(f"{path}: {name} must be {annotation}, got {value!r}")
 
 
 def _load_into(cls, raw: dict, path):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object for {cls.__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(raw) - set(fields)
     if unknown:
@@ -26,12 +86,8 @@ def _load_into(cls, raw: dict, path):
     missing = set(fields) - set(raw)
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)} for {cls.__name__}")
-    coerced = {}
-    for name, value in raw.items():
-        if fields[name].type == "tuple[int, ...]":
-            value = tuple(int(v) for v in value)
-        coerced[name] = value
-    return cls(**coerced)
+    return cls(**{name: _typed(name, fields[name].type, value, path)
+                  for name, value in raw.items()})
 
 
 class _JsonMixin:
@@ -47,7 +103,10 @@ class _JsonMixin:
 
     @classmethod
     def load(cls, path):
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: not a JSON config ({exc})") from None
         cfg = _load_into(cls, raw, path)
         cfg.validate()
         return cfg
@@ -91,18 +150,12 @@ class EncoderConfig(_JsonMixin):
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.inter_width % 2:
             raise ConfigError(f"d_inter must be even, got {self.inter_width}")
-        if self.conv_block not in _CONV_BLOCKS:
-            raise ConfigError(f"conv_block must be one of {_CONV_BLOCKS}, got {self.conv_block!r}")
-        if self.fusion not in _FUSIONS:
-            raise ConfigError(f"fusion must be one of {_FUSIONS}, got {self.fusion!r}")
-        if not self.kernels:
-            raise ConfigError("kernels must be non-empty")
-        for k in self.kernels:
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"kernel widths must be odd and positive, got {k}")
-        if any(b <= a for a, b in zip(self.kernels, self.kernels[1:])):
-            raise ConfigError(f"kernel widths must be strictly increasing, got {self.kernels}")
-        if (self.conv_block == "multiconv" and self.fusion in ("concat", "depth")
+        if self.conv_block not in CONV_BLOCKS:
+            raise ConfigError(f"conv_block must be one of {CONV_BLOCKS}, got {self.conv_block!r}")
+        parse_fusion(self.fusion)
+        check_kernels(self.kernels)
+        if (self.conv_block == "multiconv"
+                and self.fusion in (FusionKind.CONCAT, FusionKind.DEPTH)
                 and (self.inter_width // 2) % len(self.kernels)):
             raise ConfigError(
                 f"{self.fusion} fusion needs the kernel count {len(self.kernels)} "

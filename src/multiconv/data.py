@@ -95,10 +95,8 @@ def generate_dataset(spec: DataSpec, out_dir, force: bool = False) -> None:
         raise ContractError(
             f"output dir {out} is not empty; pass force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    root = np.random.SeedSequence(spec.seed)
-    template_ss, train_ss, dev_ss, test_ss = root.spawn(4)
-    rng = np.random.default_rng(template_ss)
-    templates = rng.normal(0.0, 1.0, size=(spec.vocab, spec.n_mels))
+    templates = token_templates(spec)
+    _, train_ss, dev_ss, test_ss = np.random.SeedSequence(spec.seed).spawn(4)
     for split, count, ss in (("train", spec.n_train, train_ss),
                              ("dev", spec.n_dev, dev_ss),
                              ("test", spec.n_test, test_ss)):

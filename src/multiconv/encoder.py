@@ -21,14 +21,8 @@ import numpy as np
 
 from .attention import AttentionMap, MultiHeadAttention
 from .autodiff import Tensor, add, scale
-from .config import EncoderConfig
-from .conv_blocks import (
-    ConformerConvBlock,
-    CsguBlock,
-    GateMap,
-    MultiConvBlock,
-    parse_fusion,
-)
+from .config import EncoderConfig, parse_fusion
+from .conv_blocks import ConformerConvBlock, CsguBlock, GateMap, MultiConvBlock
 from .errors import ConfigError
 from .layers import FeedForward, LayerNorm, Linear, Module, Subsampler, dropout, sinusoid_table
 

@@ -10,6 +10,10 @@ everywhere, reported as ``max_rel_err`` with the same floor so the pass
 condition is exactly ``max_rel_err <= tol``. Primitive ops get tol 1e-5;
 deep composites get 1e-4 to absorb accumulated finite-difference noise.
 
+Each audited module gets one case per tensor of its ``named_parameters()``
+(see :func:`_param_cases`), so a new parameter is audited without a new
+hand-written case.
+
 Everything runs in float64; float32 would drown the comparison in rounding.
 """
 
@@ -40,14 +44,7 @@ from .autodiff import (
     tsum,
 )
 from .config import EncoderConfig
-from .conv_blocks import (
-    ConformerConvBlock,
-    Csgu,
-    CsguBlock,
-    FusionKind,
-    Mcsgu,
-    MultiConvBlock,
-)
+from .conv_blocks import ConformerConvBlock, CsguBlock, FusionKind, Mcsgu, MultiConvBlock
 from .ctc import ctc_loss
 from .encoder import CtcModel, Encoder, EncoderLayer
 from .errors import IntegrityError
@@ -58,6 +55,7 @@ from .layers import (
     GroupedConv1d,
     LayerNorm,
     Linear,
+    Module,
     Subsampler,
     gelu,
     glu,
@@ -139,6 +137,36 @@ def _reducer(rng: np.random.Generator):
     return reduce
 
 
+def _swap(module: Module, path: str, value: Tensor) -> Tensor:
+    """Put ``value`` at a dotted ``named_parameters()`` path (list indices
+    included); returns the tensor it replaces."""
+    *parents, leaf = path.split(".")
+    owner = module
+    for part in parents:
+        owner = owner[int(part)] if isinstance(owner, list) else getattr(owner, part)
+    if isinstance(owner, list):
+        kept, owner[int(leaf)] = owner[int(leaf)], value
+    else:
+        kept = getattr(owner, leaf)
+        setattr(owner, leaf, value)
+    return kept
+
+
+def _param_cases(case, name: str, module: Module, run: Callable[[], Tensor]) -> None:
+    """One case per parameter tensor of ``module``, named ``<name>.<path>``:
+    the case swaps its input in at that path, evaluates ``run()``, and puts
+    the parameter back. Each starts from the parameter's current value."""
+    for path, tensor in module.named_parameters():
+        def fn(t, path=path):
+            kept = _swap(module, path, t)
+            try:
+                return run()
+            finally:
+                _swap(module, path, kept)
+
+        case(f"{name}.{path}", fn, tensor.data.astype(np.float64))
+
+
 def _op_cases(seed: int) -> list[_Case]:
     # constants feeding each case are drawn once here; drawing inside a case
     # body would shift the function between finite-difference evaluations
@@ -202,58 +230,19 @@ def _op_cases(seed: int) -> list[_Case]:
     norm.beta.data = rng.normal(size=6)
     x_ln = rng.normal(size=(4, 6))
     case("layer_norm.x", lambda t: red(norm(t)), x_ln.copy())
-
-    def ln_gamma(t):
-        norm.gamma = t
-        return red(norm(Tensor(x_ln)))
-
-    case("layer_norm.gamma", ln_gamma, rng.normal(size=6))
-
-    def ln_beta(t):
-        norm.beta = t
-        return red(norm(Tensor(x_ln)))
-
-    case("layer_norm.beta", ln_beta, rng.normal(size=6))
+    _param_cases(case, "layer_norm", norm, lambda: red(norm(Tensor(x_ln))))
 
     lin = Linear(5, 3, rng, dtype=np.float64)
     x_lin = rng.normal(size=(4, 5))
     case("linear.x", lambda t: red(lin(t)), x_lin.copy())
-
-    def lin_w(t):
-        lin.weight = t
-        return red(lin(Tensor(x_lin)))
-
-    case("linear.w", lin_w, rng.normal(size=(5, 3)))
-
-    def lin_b(t):
-        lin.bias = t
-        return red(lin(Tensor(x_lin)))
-
-    case("linear.b", lin_b, rng.normal(size=3))
+    _param_cases(case, "linear", lin, lambda: red(lin(Tensor(x_lin))))
 
     for k in (1, 3, 7):
         dw = DepthwiseConv1d(4, k, rng, dtype=np.float64)
         x_dw = rng.normal(size=(9, 4))
-
-        def dw_x(t, dw=dw):
-            return red(dw(t))
-
-        case(f"depthwise_k{k}.x", dw_x, x_dw.copy())
-
-        def dw_w(t, dw=dw, x_dw=x_dw):
-            dw.weight = t
-            return red(dw(Tensor(x_dw)))
-
-        case(f"depthwise_k{k}.w", dw_w, rng.normal(size=(4, k)))
-
-    dwb = DepthwiseConv1d(3, 3, rng, dtype=np.float64)
-    x_dwb = rng.normal(size=(5, 3))
-
-    def dw_b(t):
-        dwb.bias = t
-        return red(dwb(Tensor(x_dwb)))
-
-    case("depthwise.bias", dw_b, rng.normal(size=3))
+        case(f"depthwise_k{k}.x", lambda t, dw=dw: red(dw(t)), x_dw.copy())
+        _param_cases(case, f"depthwise_k{k}", dw,
+                     lambda dw=dw, x_dw=x_dw: red(dw(Tensor(x_dw))))
 
     for label, (cin, cout, groups, k) in {
         "a": (8, 8, 4, 3),
@@ -262,33 +251,14 @@ def _op_cases(seed: int) -> list[_Case]:
     }.items():
         gc = GroupedConv1d(cin, cout, k, groups, rng, dtype=np.float64)
         x_gc = rng.normal(size=(7, cin))
-
-        def gc_x(t, gc=gc):
-            return red(gc(t))
-
-        case(f"grouped_{label}.x", gc_x, x_gc.copy())
-
-        def gc_w(t, gc=gc, x_gc=x_gc):
-            gc.weight = t
-            return red(gc(Tensor(x_gc)))
-
-        case(f"grouped_{label}.w", gc_w, rng.normal(size=gc.weight.shape))
+        case(f"grouped_{label}.x", lambda t, gc=gc: red(gc(t)), x_gc.copy())
+        _param_cases(case, f"grouped_{label}", gc,
+                     lambda gc=gc, x_gc=x_gc: red(gc(Tensor(x_gc))))
 
     c2 = Conv2dDown(2, 3, rng, dtype=np.float64)
     x_c2 = rng.normal(size=(7, 9, 2))
     case("conv2d.x", lambda t: red(c2(t)), x_c2.copy())
-
-    def c2_w(t):
-        c2.weight = t
-        return red(c2(Tensor(x_c2)))
-
-    case("conv2d.w", c2_w, rng.normal(size=(2 * 9, 3)))
-
-    def c2_b(t):
-        c2.bias = t
-        return red(c2(Tensor(x_c2)))
-
-    case("conv2d.b", c2_b, rng.normal(size=3))
+    _param_cases(case, "conv2d", c2, lambda: red(c2(Tensor(x_c2))))
     return cases
 
 
@@ -306,110 +276,33 @@ def _composite_cases(seed: int) -> list[_Case]:
     sub = Subsampler(9, 6, rng, dtype=np.float64)
     x_sub = rng.normal(size=(17, 9))
     case("subsampler.x", lambda t: red(sub(t)), x_sub.copy())
+    _param_cases(case, "subsampler", sub, lambda: red(sub(Tensor(x_sub))))
 
-    def sub_w(t):
-        sub.proj.weight = t
-        return red(sub(Tensor(x_sub)))
-
-    case("subsampler.proj_w", sub_w, rng.normal(size=sub.proj.weight.shape))
-
+    x_unit = rng.normal(size=(7, 12))
     for fusion in FusionKind:
         unit = Mcsgu(12, (3, 5), fusion, rng, dtype=np.float64)
-
-        def unit_x(t, unit=unit):
-            return red(unit(t))
-
-        case(f"mcsgu_{fusion.value}.a", unit_x, rng.normal(size=(8, 12)))
-
-    unit_sum = Mcsgu(12, (3, 5), FusionKind.SUM, rng, dtype=np.float64)
-    x_unit = rng.normal(size=(7, 12))
-
-    def sum_w(t):
-        unit_sum.branches[1].weight = t
-        return red(unit_sum(Tensor(x_unit)))
-
-    case("mcsgu_sum.branch_w", sum_w, rng.normal(size=(6, 5)))
-
-    def sum_b(t):
-        unit_sum.branches[0].bias = t
-        return red(unit_sum(Tensor(x_unit)))
-
-    case("mcsgu_sum.branch_b", sum_b, rng.normal(size=6))
-
-    unit_cat = Mcsgu(12, (3, 5), FusionKind.CONCAT, rng, dtype=np.float64)
-
-    def cat_w(t):
-        unit_cat.branches[0].weight = t
-        return red(unit_cat(Tensor(x_unit)))
-
-    case("mcsgu_concat.branch_w", cat_w, rng.normal(size=unit_cat.branches[0].weight.shape))
-
-    def cat_b(t):
-        unit_cat.branches[1].bias = t
-        return red(unit_cat(Tensor(x_unit)))
-
-    case("mcsgu_concat.branch_b", cat_b, rng.normal(size=3))
-
-    unit_wt = Mcsgu(12, (3, 5), FusionKind.WEIGHTED, rng, dtype=np.float64)
-
-    def wt_gate(t):
-        unit_wt.gate.weight = t
-        return red(unit_wt(Tensor(x_unit)))
-
-    case("mcsgu_weighted.gate_w", wt_gate, rng.normal(size=(6, 2)))
-    gate_w0 = Tensor(rng.normal(size=(6, 2)))
-
-    def wt_w(t):
-        unit_wt.gate.weight = gate_w0  # a mixture that varies over frames
-        unit_wt.branches[0].weight = t
-        return red(unit_wt(Tensor(x_unit)))
-
-    case("mcsgu_weighted.branch_w", wt_w, rng.normal(size=(6, 3)))
-
-    unit_dep = Mcsgu(12, (3, 5), FusionKind.DEPTH, rng, dtype=np.float64)
-
-    def dep_final(t):
-        unit_dep.final_conv.weight = t
-        return red(unit_dep(Tensor(x_unit)))
-
-    case("mcsgu_depth.final_w", dep_final, rng.normal(size=(6, 5)))
-
-    def dep_w(t):
-        unit_dep.branches[1].weight = t
-        return red(unit_dep(Tensor(x_unit)))
-
-    case("mcsgu_depth.branch_w", dep_w, rng.normal(size=unit_dep.branches[1].weight.shape))
+        if unit.gate is not None:  # a mixture that varies over frames
+            unit.gate.weight.data = rng.normal(size=unit.gate.weight.shape)
+        case(f"mcsgu_{fusion.value}.a", lambda t, unit=unit: red(unit(t)),
+             rng.normal(size=(8, 12)))
+        _param_cases(case, f"mcsgu_{fusion.value}", unit,
+                     lambda unit=unit: red(unit(Tensor(x_unit))))
 
     for fusion in FusionKind:
         block = MultiConvBlock(6, 8, (3, 5), fusion, rng, dtype=np.float64)
-
-        def block_x(t, block=block):
-            return red(block(t))
-
-        case(f"multiconv_block_{fusion.value}.x", block_x, rng.normal(size=(7, 6)))
+        case(f"multiconv_block_{fusion.value}.x", lambda t, block=block: red(block(t)),
+             rng.normal(size=(7, 6)))
 
     blk = MultiConvBlock(6, 8, (3,), FusionKind.SUM, rng, dtype=np.float64)
     x_blk = rng.normal(size=(6, 6))
+    _param_cases(case, "multiconv_block", blk, lambda: red(blk(Tensor(x_blk))))
 
-    def blk_up(t):
-        blk.up.weight = t
-        return red(blk(Tensor(x_blk)))
-
-    case("multiconv_block.up_w", blk_up, rng.normal(size=(6, 8)))
-
-    csgu_unit = Csgu(10, 3, rng, dtype=np.float64)
-    case("csgu.a", lambda t: red(csgu_unit(t)), rng.normal(size=(6, 10)))
     csgu_blk = CsguBlock(6, 8, 3, rng, dtype=np.float64)
     case("csgu_block.x", lambda t: red(csgu_blk(t)), rng.normal(size=(6, 6)))
     conf = ConformerConvBlock(6, 5, rng, dtype=np.float64)
     x_conf = rng.normal(size=(7, 6))
     case("conformer_block.x", lambda t: red(conf(t)), x_conf.copy())
-
-    def conf_w(t):
-        conf.conv.weight = t
-        return red(conf(Tensor(x_conf)))
-
-    case("conformer_block.conv_w", conf_w, rng.normal(size=(6, 5)))
+    _param_cases(case, "conformer_block", conf, lambda: red(conf(Tensor(x_conf))))
 
     for heads in (1, 2):
         att = MultiHeadAttention(6, heads, rng, dtype=np.float64)
@@ -419,14 +312,9 @@ def _composite_cases(seed: int) -> list[_Case]:
 
         case(f"attention_h{heads}.x", att_x, rng.normal(size=(5, 6)))
 
-    att_q = MultiHeadAttention(6, 2, rng, dtype=np.float64)
+    att = MultiHeadAttention(6, 2, rng, dtype=np.float64)
     x_att = rng.normal(size=(4, 6))
-
-    def att_qw(t):
-        att_q.q_proj.weight = t
-        return red(att_q(Tensor(x_att)))
-
-    case("attention.q_w", att_qw, rng.normal(size=(6, 6)))
+    _param_cases(case, "attention", att, lambda: red(att(Tensor(x_att))))
 
     layer_cfgs = [
         ("layer_multiconv_sum", EncoderConfig(dim=6, layers=1, heads=2, d_inter=8,
@@ -489,18 +377,11 @@ def _composite_cases(seed: int) -> list[_Case]:
     feats0 = rng.normal(size=(16, 9))
     labels0 = [1, 3, 2]
 
-    def model_feats(t):
-        loss, _ = ctc_loss(model(t), labels0)
-        return loss
+    def model_loss(feats: Tensor) -> Tensor:
+        return ctc_loss(model(feats), labels0)[0]
 
-    case("ctc_model.feats", model_feats, feats0.copy())
-
-    def model_head(t):
-        model.head.weight = t
-        loss, _ = ctc_loss(model(Tensor(feats0)), labels0)
-        return loss
-
-    case("ctc_model.head_w", model_head, rng.normal(size=(6, 4)))
+    case("ctc_model.feats", model_loss, feats0.copy())
+    _param_cases(case, "ctc_model", model, lambda: model_loss(Tensor(feats0)))
     return cases
 
 

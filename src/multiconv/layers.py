@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .autodiff import Tensor, add_bias, matmul, mul, record, reshape
+from .config import check_kernels
 from .errors import ConfigError, ShapeError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -270,8 +271,7 @@ class DepthwiseConv1d(Module):
 
     def __init__(self, channels: int, kernel: int, rng: np.random.Generator,
                  bias: bool = True, dtype=np.float32):
-        if kernel < 1 or kernel % 2 == 0:
-            raise ConfigError(f"depthwise kernel must be odd and positive, got {kernel}")
+        (kernel,) = check_kernels((kernel,))
         self.kernel = kernel
         self.channels = channels
         bound = 1.0 / math.sqrt(kernel)
@@ -298,8 +298,7 @@ class GroupedConv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  groups: int, rng: np.random.Generator, bias: bool = True,
                  dtype=np.float32):
-        if kernel < 1 or kernel % 2 == 0:
-            raise ConfigError(f"grouped conv kernel must be odd and positive, got {kernel}")
+        (kernel,) = check_kernels((kernel,))
         if groups < 1 or in_channels % groups or out_channels % groups:
             raise ConfigError(
                 f"groups={groups} must divide in={in_channels} and out={out_channels}")

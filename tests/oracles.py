@@ -15,11 +15,13 @@ import numpy as np
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """Per-channel temporal convolution, zero padded, via explicit loops."""
+    """Per-channel temporal convolution, zero padded, via explicit loops.
+    Complex inputs stay complex (see :func:`complex_step_grad`)."""
     t_len, channels = x.shape
     k = w.shape[1]
     half = k // 2
-    out = np.zeros((t_len, channels), dtype=np.float64)
+    dtype = np.result_type(x, w, np.float64, *(() if b is None else (b,)))
+    out = np.zeros((t_len, channels), dtype=dtype)
     for t in range(t_len):
         for c in range(channels):
             acc = 0.0
@@ -31,6 +33,36 @@ def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> 
                 acc += b[c]
             out[t, c] = acc
     return out
+
+
+def layer_norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                    eps: float = 1e-12) -> np.ndarray:
+    """Normalize each row to zero mean and unit variance, then scale and shift."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+
+
+def csgu_loops(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Single-kernel convolutional spatial gating unit [T, 2h] -> [T, h]: the
+    left half of ``a`` times the depthwise convolution (weight w [h, k],
+    bias b) of the layer-normed right half."""
+    half = a.shape[1] // 2
+    return a[:, :half] * depthwise_conv_loops(
+        layer_norm_rows(a[:, half:], gamma, beta), w, b)
+
+
+def complex_step_grad(fn, x0: np.ndarray, step: float = 1e-30) -> np.ndarray:
+    """Gradient of a real-analytic scalar function, element by element, as
+    Im fn(x0 + i*step*e_j) / step. Nothing is subtracted, so the result is
+    exact to rounding, unlike a finite difference."""
+    grad = np.zeros(x0.shape, dtype=np.float64)
+    for j in range(x0.size):
+        x = x0.astype(np.complex128)
+        x.flat[j] += 1j * step
+        grad.flat[j] = np.imag(fn(x)) / step
+    return grad
 
 
 def grouped_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,

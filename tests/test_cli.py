@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from multiconv.cli import main
+import multiconv.training
+from multiconv.cli import build_parser, main
+from multiconv.config import CONV_BLOCKS, FusionKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -173,12 +175,53 @@ def test_config_file_fields_yield_to_explicit_flags(workspace, tmp_path, capsys)
     assert base != weighted
 
 
-@pytest.mark.parametrize("bad", ["3,x", "8,16", "4", "0", "-3", "5,3", "3,3", ""])
+@pytest.mark.parametrize("bad", ["3,x", "8,16", "4", "0", "-3", "5,3", "3,3", "", "3.7"])
 def test_bad_kernel_list_is_a_usage_error(bad, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["param-count", "--kernels", bad])
     assert exc.value.code == 1
     assert "kernel" in capsys.readouterr().err
+
+
+def _choices(parser, dest):
+    """The choices of every option named ``dest`` in the parser's subcommands."""
+    found = []
+    for action in parser._actions:
+        if action.dest == dest:
+            found.append(tuple(action.choices))
+        elif isinstance(action.choices, dict):  # a table of subcommand parsers
+            for sub in action.choices.values():
+                found += _choices(sub, dest)
+    return found
+
+
+def test_name_choices_come_from_the_enum_and_the_block_tuple():
+    parser = build_parser()
+    fusions = _choices(parser, "fusion")
+    blocks = _choices(parser, "conv_block")
+    assert len(fusions) == len(blocks) == 2  # train and param-count
+    assert set(fusions) == {tuple(kind.value for kind in FusionKind)}
+    assert set(blocks) == {CONV_BLOCKS}
+
+
+def test_interrupted_train_leaves_a_loadable_run(workspace, tmp_path, monkeypatch, capsys):
+    data, _ = workspace
+    run = tmp_path / "cut"
+    save = multiconv.training.save_model
+
+    def save_then_stop(*args, **kwargs):
+        save(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(multiconv.training, "save_model", save_then_stop)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--data", str(data), "--out", str(run), *SHAPE_FLAGS,
+              "--steps", "8", "--batch-size", "2", "--eval-every", "2", "--quiet"])
+    monkeypatch.undo()
+    assert (run / "model.mckpt").exists()
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--model", str(run)]) == 0
+    assert "split=dev" in capsys.readouterr().out
 
 
 def test_param_count_breakdown(capsys):

@@ -1,5 +1,6 @@
 """Config records: defaults, derived widths, validation, exact JSON round trips."""
 
+import dataclasses
 import json
 
 import pytest
@@ -83,6 +84,50 @@ def test_load_validates(tmp_path):
         EncoderConfig.load(path)
 
 
+CONFIGS = [EncoderConfig, DataSpec, TrainConfig]
+
+
+def _wrong_type_values(cls):
+    """(field, value) pairs whose JSON value does not fit the field's type."""
+    pairs = []
+    for f in dataclasses.fields(cls):
+        pairs.append((f.name, None))
+        pairs.append((f.name, 5 if f.type == "str" else "5"))
+        if f.type == "int":
+            pairs += [(f.name, 5.5), (f.name, True)]
+    return pairs
+
+
+@pytest.mark.parametrize("cls", CONFIGS)
+def test_corrupt_config_file_raises_config_error(cls, tmp_path):
+    path = tmp_path / "cfg.json"
+    text = json.dumps(cls().to_dict())
+    for raw in (text[:-7].encode(), b"\xff\xfe\x00{", b"[1, 2]", b""):
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError):
+            cls.load(path)
+    for name, value in _wrong_type_values(cls):
+        path.write_text(json.dumps({**cls().to_dict(), name: value}))
+        with pytest.raises(ConfigError, match=name):
+            cls.load(path)
+
+
+@pytest.mark.parametrize("kernels", [None, "357", [3, "5"], [3.0, 5.0], [True], 7])
+def test_kernels_field_must_be_a_list_of_ints(kernels, tmp_path):
+    path = tmp_path / "enc.json"
+    path.write_text(json.dumps({**EncoderConfig().to_dict(), "kernels": kernels}))
+    with pytest.raises(ConfigError, match="kernels"):
+        EncoderConfig.load(path)
+
+
+def test_float_fields_accept_json_integers(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**TrainConfig().to_dict(), "lr": 1, "target_ter": 0}))
+    cfg = TrainConfig.load(path)
+    assert (cfg.lr, cfg.target_ter) == (1.0, 0.0)
+    assert isinstance(cfg.lr, float)
+
+
 @pytest.mark.parametrize("bad", [
     dict(dim=0),
     dict(heads=3),                  # 256 % 3
@@ -94,6 +139,9 @@ def test_load_validates(tmp_path):
     dict(kernels=(-3,)),
     dict(kernels=(5, 3)),           # widths must grow
     dict(kernels=(3, 3)),
+    dict(kernels=(3.7,)),           # not truncated to 3
+    dict(kernels=("3",)),
+    dict(kernels=(True,)),
     dict(fusion="concat", kernels=(3, 5, 7, 9, 11)),  # 5 does not divide 768
     dict(n_mels=6),
     dict(vocab=0),

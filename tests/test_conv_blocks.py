@@ -15,16 +15,18 @@ from multiconv.autodiff import (
     split_channels,
     tsum,
 )
+from scipy import special
+
+import oracles
+from multiconv.config import parse_fusion
 from multiconv.conv_blocks import (
     ConformerConvBlock,
-    Csgu,
     CsguBlock,
     FusionKind,
     GateMap,
     Mcsgu,
     MultiConvBlock,
     fusion_param_count,
-    parse_fusion,
 )
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import softmax
@@ -50,14 +52,30 @@ def test_output_is_half_width(fusion):
     assert out.shape == (9, 12)
 
 
+@pytest.mark.parametrize("kernels", [
+    (),
+    (4,),               # even width has no centre tap
+    (-3,),
+    (5, 3),             # widths must grow
+    (3, 3),
+    (3.7,),             # not truncated to 3
+    ("3",),
+    (True,),
+    "357",              # a string is not a list of widths
+])
+def test_bad_kernel_lists_rejected(kernels):
+    rng = np.random.default_rng(0)
+    for fusion in FusionKind:
+        with pytest.raises(ConfigError):
+            Mcsgu(24, kernels, fusion, rng)
+        with pytest.raises(ConfigError):
+            fusion_param_count(fusion, 24, kernels)
+
+
 def test_validation_errors():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
         Mcsgu(25, (3,), FusionKind.SUM, rng)          # odd width
-    with pytest.raises(ConfigError):
-        Mcsgu(24, (), FusionKind.SUM, rng)            # no kernels
-    with pytest.raises(ConfigError):
-        Mcsgu(24, (4,), FusionKind.SUM, rng)          # even kernel
     with pytest.raises(ConfigError):
         Mcsgu(24, (3, 5, 7, 9, 11), FusionKind.CONCAT, rng)  # 5 does not divide 12
     unit = _unit(FusionKind.SUM)
@@ -159,14 +177,47 @@ def test_depth_fusion_with_delta_kernel_equals_concat():
 @pytest.mark.parametrize("kernel", [3, 7, 15, 31])
 def test_single_kernel_sum_reduces_to_plain_gating_unit(kernel):
     multi = _unit(FusionKind.SUM, d_inter=40, kernels=(kernel,), seed=13)
-    plain = Csgu(40, kernel, np.random.default_rng(99), dtype=np.float64)
-    plain.norm.gamma.data = multi.norm.gamma.data.copy()
-    plain.norm.beta.data = multi.norm.beta.data.copy()
-    plain.conv.weight.data = multi.branches[0].weight.data.copy()
-    plain.conv.bias.data = multi.branches[0].bias.data.copy()
+    multi.norm.gamma.data = RNG.normal(size=20)
+    multi.norm.beta.data = RNG.normal(size=20)
     a = RNG.normal(size=(12, 40))
-    diff = np.abs(multi(Tensor(a)).data - plain(Tensor(a)).data).max()
-    assert diff < 1e-12
+    want = oracles.csgu_loops(a, multi.norm.gamma.data, multi.norm.beta.data,
+                              multi.branches[0].weight.data, multi.branches[0].bias.data)
+    assert np.abs(multi(Tensor(a)).data - want).max() < 1e-12
+
+
+def _csgu_block_loops(x, p):
+    """The csgu half-block written out in numpy: expand, gelu, gate, project."""
+    up = x @ p["up.weight"] + p["up.bias"]
+    a = up * 0.5 * (1.0 + special.erf(up / np.sqrt(2.0)))
+    h = oracles.csgu_loops(a, p["unit.norm.gamma"], p["unit.norm.beta"],
+                           p["unit.branches.0.weight"], p["unit.branches.0.bias"])
+    return h @ p["down.weight"] + p["down.bias"]
+
+
+@pytest.mark.parametrize("t_len, kernel", [(1, 3), (6, 7), (11, 15)])
+def test_csgu_block_forward_and_gradients_match_loop_oracle(t_len, kernel):
+    blk = CsguBlock(6, 12, kernel, np.random.default_rng(kernel), dtype=np.float64)
+    rng = np.random.default_rng(t_len)
+    blk.unit.norm.gamma.data = rng.normal(size=6)
+    blk.unit.norm.beta.data = rng.normal(size=6)
+    params = dict(blk.named_parameters())
+    assert list(params) == ["up.weight", "up.bias", "unit.norm.gamma", "unit.norm.beta",
+                            "unit.branches.0.weight", "unit.branches.0.bias",
+                            "down.weight", "down.bias"]
+    x = rng.normal(size=(t_len, 6))
+    proj = rng.normal(size=(t_len, 6))
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        out = blk(xt)
+        backward(tsum(mul(out, Tensor(proj))))
+    values = {name: t.data for name, t in params.items()}
+    assert np.abs(out.data - _csgu_block_loops(x, values)).max() <= 1e-12
+    want = oracles.complex_step_grad(lambda v: (_csgu_block_loops(v, values) * proj).sum(), x)
+    assert np.abs(xt.grad - want).max() <= 1e-12
+    for name, t in params.items():
+        want = oracles.complex_step_grad(
+            lambda v: (_csgu_block_loops(x, {**values, name: v}) * proj).sum(), t.data)
+        assert np.abs(t.grad - want).max() <= 1e-12, name
 
 
 def test_fusion_param_count_matches_instantiated_units():
