@@ -14,7 +14,7 @@ from .analysis import (
     kernel_importance,
     param_breakdown,
 )
-from .attention import AttentionMap, MultiHeadAttention
+from .attention import MultiHeadAttention
 from .autodiff import Tape, Tensor, backward
 from .checkpoint import load_arrays, load_model, save_arrays, save_model
 from .config import DataSpec, EncoderConfig, TrainConfig
@@ -22,7 +22,6 @@ from .conv_blocks import (
     ConformerConvBlock,
     CsguBlock,
     FusionKind,
-    GateMap,
     Mcsgu,
     MultiConvBlock,
     fusion_param_count,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "AttentionMap",
     "ConfigError",
     "ConformerConvBlock",
     "ContractError",
@@ -57,7 +55,6 @@ __all__ = [
     "EncoderLayer",
     "EvalResult",
     "FusionKind",
-    "GateMap",
     "IntegrityError",
     "Mcsgu",
     "MultiConvBlock",

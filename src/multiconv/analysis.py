@@ -56,9 +56,9 @@ def diagonality_by_layer_head(model: CtcModel, utts: list[Utterance],
         if len(captures.attention) != cfg.layers:
             raise IntegrityError(
                 f"captured {len(captures.attention)} attention maps, expected {cfg.layers}")
-        for amap in captures.attention:
+        for layer, weights in enumerate(captures.attention):
             for h in range(cfg.heads):
-                total[amap.layer, h] += attention_diagonality(amap.weights[h])
+                total[layer, h] += attention_diagonality(weights[h])
     return total / len(utts)
 
 
@@ -98,9 +98,9 @@ def kernel_importance(model: CtcModel, utts: list[Utterance],
         if len(captures.gates) != cfg.layers:
             raise IntegrityError(
                 f"captured {len(captures.gates)} gate maps, expected {cfg.layers}")
-        for gmap in captures.gates:
-            total[gmap.layer] += gmap.alpha.astype(np.float64).sum(axis=0)
-            frames[gmap.layer] += gmap.alpha.shape[0]
+        for layer, alpha in enumerate(captures.gates):
+            total[layer] += alpha.astype(np.float64).sum(axis=0)
+            frames[layer] += alpha.shape[0]
     return total / frames[:, None]
 
 
@@ -125,7 +125,7 @@ def _conv_fusion_params(layer_conv) -> int:
     return counted
 
 
-def param_breakdown(cfg: EncoderConfig, seed: int = 0) -> dict:
+def param_breakdown(cfg: EncoderConfig) -> dict:
     """Instantiate the model and count parameters per component.
 
     For multi-kernel blocks the measured convolution/fusion count is
@@ -133,7 +133,7 @@ def param_breakdown(cfg: EncoderConfig, seed: int = 0) -> dict:
     :class:`IntegrityError` because it means the implementation and the
     accounting have diverged.
     """
-    model = build_model(cfg, seed)
+    model = build_model(cfg)
     enc = model.encoder
     layers = enc.layers
     breakdown = {
@@ -160,10 +160,10 @@ def param_breakdown(cfg: EncoderConfig, seed: int = 0) -> dict:
     return breakdown
 
 
-def fusion_comparison(cfg: EncoderConfig, seed: int = 0) -> list[dict]:
+def fusion_comparison(cfg: EncoderConfig) -> list[dict]:
     """Total parameter counts for the four fusion rules at this geometry."""
     rows = []
     for kind in FusionKind:
         variant = dataclasses.replace(cfg, conv_block="multiconv", fusion=kind.value)
-        rows.append({"fusion": kind.value, "total": param_breakdown(variant, seed)["total"]})
+        rows.append({"fusion": kind.value, "total": param_breakdown(variant)["total"]})
     return rows

@@ -8,7 +8,6 @@ captured per head for later alignment diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,19 +16,12 @@ from .errors import ConfigError, ShapeError
 from .layers import Linear, Module, dropout, softmax
 
 
-@dataclass
-class AttentionMap:
-    """Post-softmax attention weights of one layer, shape [heads, T, T].
-
-    Each row ``weights[h, q]`` is a distribution over key positions.
-    """
-
-    layer: int
-    weights: np.ndarray
-
-
 class MultiHeadAttention(Module):
-    """Standard multi-head self-attention with a final output projection."""
+    """Standard multi-head self-attention with a final output projection.
+
+    Given a ``capture`` list, each call appends its post-softmax weights, a
+    [heads, T, T] array whose row ``[h, q]`` is a distribution over keys.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  dropout_p: float = 0.0, dtype=np.float32):
@@ -49,7 +41,7 @@ class MultiHeadAttention(Module):
         return swapaxes(x, 0, 1)
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 capture: list | None = None, layer_index: int = 0) -> Tensor:
+                 capture: list | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"attention expects [T, {self.dim}], got {x.shape}")
         t = x.shape[0]
@@ -59,7 +51,7 @@ class MultiHeadAttention(Module):
         scores = scale(matmul(q, swapaxes(k, 1, 2)), 1.0 / math.sqrt(self.head_dim))
         weights = softmax(scores)
         if capture is not None:
-            capture.append(AttentionMap(layer=layer_index, weights=weights.data.copy()))
+            capture.append(weights.data.copy())
         weights = dropout(weights, self.dropout_p, rng)
         ctx = matmul(weights, v)
         ctx = reshape(swapaxes(ctx, 0, 1), (t, self.dim))

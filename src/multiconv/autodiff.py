@@ -45,8 +45,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -77,29 +77,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -301,18 +278,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return record(out, (x, b), bwd)
 
 
-def scale_rows(x: Tensor, r: Tensor) -> Tensor:
-    """Multiply each frame x[t, :] by the scalar r[t, 0] (explicit column broadcast)."""
-    if x.ndim != 2 or r.shape != (x.shape[0], 1):
-        raise ShapeError(f"scale_rows: need x[T,C] and r[T,1], got {x.shape} and {r.shape}")
-    out = Tensor(x.data * r.data)
-
-    def bwd(g):
-        return g * r.data, (g * x.data).sum(axis=1, keepdims=True)
-
-    return record(out, (x, r), bwd)
-
-
 def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
     """Copy out channels [lo, hi) of the last axis; backward scatters into place."""
     c = x.shape[-1]
@@ -334,32 +299,6 @@ def split_channels(x: Tensor, boundary: int) -> tuple[Tensor, Tensor]:
     if not (0 < boundary < c):
         raise IndexError(f"split_channels: boundary {boundary} out of range for {c} channels")
     return slice_channels(x, 0, boundary), slice_channels(x, boundary, c)
-
-
-def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis in list order; backward slices the gradient."""
-    if not parts:
-        raise ContractError("concat_channels: empty part list")
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_channels: leading extents differ, {parts[0].shape} vs {p.shape}"
-            )
-    if len(parts) == 1:
-        return parts[0]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    widths = [p.shape[-1] for p in parts]
-
-    def bwd(g):
-        grads = []
-        lo = 0
-        for w in widths:
-            grads.append(g[..., lo:lo + w])
-            lo += w
-        return grads
-
-    return record(out, tuple(parts), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

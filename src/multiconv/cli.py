@@ -50,31 +50,33 @@ def _parse_kernels(text: str) -> tuple[int, ...]:
 _FLAG_FIELDS = ("dim", "layers", "heads", "d_inter", "d_ffn",
                 "conv_block", "fusion", "kernels", "dropout", "n_mels", "vocab")
 
+# the base of a config built from flags alone; the help texts quote it
+_DESK = EncoderConfig(dim=64, layers=2, heads=4, kernels=(3, 7, 11, 15))
+
 
 def _add_encoder_flags(p: argparse.ArgumentParser, with_data_fields: bool) -> None:
     p.add_argument("--config", type=Path, default=None, metavar="PATH",
                    help="JSON encoder config used as the base; "
                         "explicit shape flags override its fields")
-    p.add_argument("--dim", type=int, default=None, help="model width (default 64)")
-    p.add_argument("--layers", type=int, default=None, help="encoder depth (default 2)")
-    p.add_argument("--heads", type=int, default=None, help="attention heads (default 4)")
-    p.add_argument("--d-inter", type=int, default=None,
-                   help="conv-block expansion width, 0 means 6*dim (default 0)")
-    p.add_argument("--d-ffn", type=int, default=None,
-                   help="feed-forward width, 0 means 4*dim (default 0)")
-    p.add_argument("--conv-block", choices=CONV_BLOCKS,
-                   default=None, help="convolution half-block (default multiconv)")
-    p.add_argument("--fusion", choices=FUSIONS,
-                   default=None, help="multi-kernel fusion rule (default depth)")
-    p.add_argument("--kernels", type=_parse_kernels, default=None,
-                   help="comma-separated odd increasing widths (default 3,7,11,15)")
-    p.add_argument("--dropout", type=float, default=None,
-                   help="dropout rate (default 0.1)")
+
+    def flag(name: str, text: str, **kwargs) -> None:
+        value = getattr(_DESK, name)
+        shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        p.add_argument("--" + name.replace("_", "-"), default=None,
+                       help=f"{text} (default {shown})", **kwargs)
+
+    flag("dim", "model width", type=int)
+    flag("layers", "encoder depth", type=int)
+    flag("heads", "attention heads", type=int)
+    flag("d_inter", "conv-block expansion width, 0 means 6*dim", type=int)
+    flag("d_ffn", "feed-forward width, 0 means 4*dim", type=int)
+    flag("conv_block", "convolution half-block", choices=CONV_BLOCKS)
+    flag("fusion", "multi-kernel fusion rule", choices=FUSIONS)
+    flag("kernels", "comma-separated odd increasing widths", type=_parse_kernels)
+    flag("dropout", "dropout rate", type=float)
     if with_data_fields:
-        p.add_argument("--n-mels", type=int, default=None,
-                       help="feature bins (default 80)")
-        p.add_argument("--vocab", type=int, default=None,
-                       help="token vocabulary size (default 8)")
+        flag("n_mels", "feature bins", type=int)
+        flag("vocab", "token vocabulary size", type=int)
 
 
 def _encoder_from_args(args, n_mels: int | None = None,
@@ -83,22 +85,21 @@ def _encoder_from_args(args, n_mels: int | None = None,
 
     A ``--config`` file provides the base when given, and any explicitly
     passed shape flag overrides that single field. Without a file the base
-    is a small desk-scale default. ``n_mels``/``vocab`` pinned by a dataset
-    must agree with whatever the file and flags resolve to.
+    is ``_DESK``. ``n_mels``/``vocab`` pinned by a dataset must agree with
+    whatever the file and flags resolve to.
     """
     overrides = {name: value for name in _FLAG_FIELDS
                  if (value := getattr(args, name, None)) is not None}
     if args.config is not None:
         cfg = dataclasses.replace(EncoderConfig.load(args.config), **overrides)
     else:
-        base = dict(dim=64, layers=2, heads=4, kernels=(3, 7, 11, 15),
-                    n_mels=80, vocab=8, seed=getattr(args, "seed", 0))
+        base = dict(seed=getattr(args, "seed", 0))
         if n_mels is not None:
             base["n_mels"] = n_mels
         if vocab is not None:
             base["vocab"] = vocab
         base.update(overrides)
-        cfg = EncoderConfig(**base)
+        cfg = dataclasses.replace(_DESK, **base)
     if n_mels is not None and cfg.n_mels != n_mels:
         raise ConfigError(
             f"encoder config has n_mels={cfg.n_mels} but the data uses {n_mels}")

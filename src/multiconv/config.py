@@ -6,8 +6,9 @@ reject unknown keys so stale files fail loudly instead of half-applying.
 A file that is not JSON, or holds a value of the wrong type, fails with
 :class:`~multiconv.errors.ConfigError` too.
 
-The names of the conv blocks and the fusion rules, and the kernel-list
-rule, are defined here once; the model, the CLI and the loaders use these.
+The names of the conv blocks and the fusion rules, the kernel-list rule and
+the gate-width rules are defined here once; the model, the CLI and the
+loaders use these.
 """
 
 from __future__ import annotations
@@ -60,6 +61,17 @@ def check_kernels(kernels) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(kernels, kernels[1:])):
         raise ConfigError(f"kernel widths must be strictly increasing, got {kernels}")
     return kernels
+
+
+def check_gate_width(d_inter: int, fusion: FusionKind, n_kernels: int) -> None:
+    """Validate the gating-unit width: ``d_inter`` is even, and for
+    ``concat``/``depth`` the kernel count divides its half ``d_inter/2``."""
+    if d_inter % 2:
+        raise ConfigError(f"d_inter must be even, got {d_inter}")
+    if fusion in (FusionKind.CONCAT, FusionKind.DEPTH) and (d_inter // 2) % n_kernels:
+        raise ConfigError(
+            f"{fusion.value} fusion needs the kernel count {n_kernels} "
+            f"to divide the half width {d_inter // 2}")
 
 
 def _typed(name: str, annotation: str, value, path):
@@ -148,18 +160,14 @@ class EncoderConfig(_JsonMixin):
             raise ConfigError("dim, layers, and heads must be positive")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.inter_width % 2:
-            raise ConfigError(f"d_inter must be even, got {self.inter_width}")
         if self.conv_block not in CONV_BLOCKS:
             raise ConfigError(f"conv_block must be one of {CONV_BLOCKS}, got {self.conv_block!r}")
-        parse_fusion(self.fusion)
+        fusion = parse_fusion(self.fusion)
         check_kernels(self.kernels)
-        if (self.conv_block == "multiconv"
-                and self.fusion in (FusionKind.CONCAT, FusionKind.DEPTH)
-                and (self.inter_width // 2) % len(self.kernels)):
-            raise ConfigError(
-                f"{self.fusion} fusion needs the kernel count {len(self.kernels)} "
-                f"to divide the half width {self.inter_width // 2}")
+        # the baselines have no fusion, so only the parity rule applies to them
+        check_gate_width(self.inter_width,
+                         fusion if self.conv_block == "multiconv" else FusionKind.SUM,
+                         len(self.kernels))
         if self.n_mels < 7:
             raise ConfigError("n_mels must be at least 7 for the two conv stages")
         if self.vocab < 1:

@@ -35,13 +35,12 @@ folded kernel are cropped back to each branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, add_bias, add_n, mul, record, split_channels
-from .config import FusionKind, check_kernels
+from .config import FusionKind, check_gate_width, check_kernels
 from .errors import ConfigError, ShapeError
 from .layers import (
     DepthwiseConv1d,
@@ -151,25 +150,17 @@ def branch_major(y: Tensor, biases: Sequence[Tensor]) -> Tensor:
     return record(Tensor(out), (y, *biases), bwd)
 
 
-@dataclass
-class GateMap:
-    """Per-frame kernel mixture weights of one layer, shape [T, P].
-
-    Rows are softmax outputs, so each sums to one.
-    """
-
-    layer: int
-    alpha: np.ndarray
-
-
 class Mcsgu(Module):
-    """Multi-kernel convolutional spatial gating unit, [T, d_inter] -> [T, d_inter/2]."""
+    """Multi-kernel convolutional spatial gating unit, [T, d_inter] -> [T, d_inter/2].
+
+    Given a ``gate_capture`` list, the ``weighted`` fusion appends its
+    per-frame kernel mixture, a [T, P] array whose rows sum to one.
+    """
 
     def __init__(self, d_inter: int, kernels: Sequence[int], fusion: FusionKind,
                  rng: np.random.Generator, dtype=np.float32):
-        if d_inter % 2:
-            raise ConfigError(f"gating unit width must be even, got {d_inter}")
         kernels = check_kernels(kernels)
+        check_gate_width(d_inter, fusion, len(kernels))
         half = d_inter // 2
         p = len(kernels)
         self.d_inter = d_inter
@@ -189,9 +180,6 @@ class Mcsgu(Module):
                 gate.bias.data[:] = 0.0
                 self.gate = gate
         elif fusion in (FusionKind.CONCAT, FusionKind.DEPTH):
-            if half % p:
-                raise ConfigError(
-                    f"concat-style fusion needs P={p} to divide the gate width {half}")
             self.branches = [
                 GroupedConv1d(half, half // p, k, groups=half // p, rng=rng, dtype=dtype)
                 for k in kernels
@@ -201,8 +189,7 @@ class Mcsgu(Module):
         else:
             raise ConfigError(f"unhandled fusion {fusion}")
 
-    def __call__(self, a: Tensor, gate_capture: list | None = None,
-                 layer_index: int = 0) -> Tensor:
+    def __call__(self, a: Tensor, gate_capture: list | None = None) -> Tensor:
         if a.ndim != 2 or a.shape[1] != self.d_inter:
             raise ShapeError(f"gating unit expects [T, {self.d_inter}], got {a.shape}")
         z_l, z_r = split_channels(a, self.half)
@@ -217,7 +204,7 @@ class Mcsgu(Module):
         elif self.fusion is FusionKind.WEIGHTED:
             alpha = softmax(self.gate(z_r))
             if gate_capture is not None:
-                gate_capture.append(GateMap(layer=layer_index, alpha=alpha.data.copy()))
+                gate_capture.append(alpha.data.copy())
             fused = mix_rows([conv(z_r) for conv in self.branches], alpha)
         else:
             w = fold_taps([conv.weight for conv in self.branches], k_max, stack=True)
@@ -243,9 +230,9 @@ class MultiConvBlock(Module):
         self.dropout_p = dropout_p
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 gate_capture: list | None = None, layer_index: int = 0) -> Tensor:
+                 gate_capture: list | None = None) -> Tensor:
         a = gelu(self.up(x))
-        h = self.unit(a, gate_capture=gate_capture, layer_index=layer_index)
+        h = self.unit(a, gate_capture=gate_capture)
         h = dropout(h, self.dropout_p, rng)
         return self.down(h)
 
@@ -283,7 +270,7 @@ class ConformerConvBlock(Module):
         self.dropout_p = dropout_p
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 gate_capture: list | None = None, layer_index: int = 0) -> Tensor:
+                 gate_capture: list | None = None) -> Tensor:
         h = glu(self.pw_in(x))
         h = swish(self.norm(self.conv(h)))
         h = dropout(h, self.dropout_p, rng)

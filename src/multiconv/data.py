@@ -109,36 +109,57 @@ def load_spec(data_dir) -> DataSpec:
     return DataSpec.load(Path(data_dir) / "data_spec.json")
 
 
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise TypeError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _read_manifest(path: Path):
+    """``(n_mels, total_frames, [(id, offset, frames, tokens), ...])`` from a
+    split manifest. A manifest that is not UTF-8 JSON, lacks a field, or
+    holds a value of the wrong type raises :class:`IntegrityError`."""
+    try:
+        manifest = json.loads(path.read_text())
+        entries = []
+        for e in manifest["utterances"]:
+            if type(e["id"]) is not str:
+                raise TypeError(f"expected a string id, got {e['id']!r}")
+            entries.append((e["id"], _count(e["offset"]), _count(e["frames"]),
+                            [_count(t) for t in e["tokens"]]))
+        return _count(manifest["n_mels"]), _count(manifest["total_frames"]), entries
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers decoding
+        raise IntegrityError(
+            f"{path.name} is not a valid split manifest ({type(exc).__name__}: {exc})") from None
+
+
 def load_split(data_dir, split: str) -> list[Utterance]:
     """Read one split back, cross-checking sizes and the text transcripts."""
     if split not in SPLITS:
         raise ContractError(f"split must be one of {SPLITS}, got {split!r}")
     root = Path(data_dir)
-    manifest = json.loads((root / f"{split}.json").read_text())
-    n_mels = manifest["n_mels"]
+    n_mels, total_frames, entries = _read_manifest(root / f"{split}.json")
     raw = (root / f"{split}.f32").read_bytes()
     frames = np.frombuffer(raw, dtype="<f4")
-    expected = manifest["total_frames"] * n_mels
+    expected = total_frames * n_mels
     if frames.size != expected:
         raise IntegrityError(
             f"{split}.f32 holds {frames.size} values, manifest expects {expected}")
-    frames = frames.reshape(manifest["total_frames"], n_mels)
+    frames = frames.reshape(total_frames, n_mels)
     text_tokens: dict[str, list[int]] = {}
     for line in (root / f"{split}.txt").read_text().splitlines():
         parts = line.split()
         text_tokens[parts[0]] = [int(t) for t in parts[1:]]
     utts = []
-    for entry in manifest["utterances"]:
-        lo = entry["offset"]
-        hi = lo + entry["frames"]
-        if hi > manifest["total_frames"]:
-            raise IntegrityError(f"{split}.json entry {entry['id']} overruns the frame file")
-        tokens = [int(t) for t in entry["tokens"]]
-        if text_tokens.get(entry["id"]) != tokens:
+    for uid, lo, n_frames, tokens in entries:
+        hi = lo + n_frames
+        if hi > total_frames:
+            raise IntegrityError(f"{split}.json entry {uid} overruns the frame file")
+        if text_tokens.get(uid) != tokens:
             raise IntegrityError(
-                f"transcript mismatch for {entry['id']} between {split}.json and {split}.txt")
+                f"transcript mismatch for {uid} between {split}.json and {split}.txt")
         utts.append(Utterance(
-            uid=entry["id"],
+            uid=uid,
             feats=np.ascontiguousarray(frames[lo:hi]),
             tokens=tokens,
         ))

@@ -19,20 +19,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionMap, MultiHeadAttention
+from .attention import MultiHeadAttention
 from .autodiff import Tensor, add, scale
 from .config import EncoderConfig, parse_fusion
-from .conv_blocks import ConformerConvBlock, CsguBlock, GateMap, MultiConvBlock
+from .conv_blocks import ConformerConvBlock, CsguBlock, MultiConvBlock
 from .errors import ConfigError
 from .layers import FeedForward, LayerNorm, Linear, Module, Subsampler, dropout, sinusoid_table
 
 
 @dataclass
 class EncoderCaptures:
-    """Side channel for per-layer diagnostics collected during a forward pass."""
+    """Side channel for per-layer diagnostics collected during a forward pass.
 
-    attention: list[AttentionMap] = field(default_factory=list)
-    gates: list[GateMap] = field(default_factory=list)
+    Entry i of each list comes from layer i: ``attention`` holds [heads, T, T]
+    attention weights, and ``gates`` the [T, P] kernel mixtures of the
+    ``weighted`` fusion (empty for the other blocks).
+    """
+
+    attention: list[np.ndarray] = field(default_factory=list)
+    gates: list[np.ndarray] = field(default_factory=list)
 
 
 def _make_conv_block(cfg: EncoderConfig, rng: np.random.Generator, dtype):
@@ -54,31 +59,26 @@ class EncoderLayer(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype):
         dim = cfg.dim
         self.norm_ffn1 = LayerNorm(dim, dtype=dtype)
-        self.ffn1 = FeedForward(dim, cfg.ffn_width, rng, activation="swish",
-                                dropout_p=cfg.dropout, dtype=dtype)
+        self.ffn1 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout, dtype=dtype)
         self.norm_att = LayerNorm(dim, dtype=dtype)
         self.attention = MultiHeadAttention(dim, cfg.heads, rng,
                                             dropout_p=cfg.dropout, dtype=dtype)
         self.norm_conv = LayerNorm(dim, dtype=dtype)
         self.conv = _make_conv_block(cfg, rng, dtype)
         self.norm_ffn2 = LayerNorm(dim, dtype=dtype)
-        self.ffn2 = FeedForward(dim, cfg.ffn_width, rng, activation="swish",
-                                dropout_p=cfg.dropout, dtype=dtype)
+        self.ffn2 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout, dtype=dtype)
         self.dropout_p = cfg.dropout
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 captures: EncoderCaptures | None = None,
-                 layer_index: int = 0) -> Tensor:
+                 captures: EncoderCaptures | None = None) -> Tensor:
         p = self.dropout_p
         h = self.ffn1(self.norm_ffn1(x), rng)
         x = add(x, scale(dropout(h, p, rng), 0.5))
         att_capture = captures.attention if captures is not None else None
-        h = self.attention(self.norm_att(x), rng, capture=att_capture,
-                           layer_index=layer_index)
+        h = self.attention(self.norm_att(x), rng, capture=att_capture)
         x = add(x, dropout(h, p, rng))
         gate_capture = captures.gates if captures is not None else None
-        h = self.conv(self.norm_conv(x), rng, gate_capture=gate_capture,
-                      layer_index=layer_index)
+        h = self.conv(self.norm_conv(x), rng, gate_capture=gate_capture)
         x = add(x, dropout(h, p, rng))
         h = self.ffn2(self.norm_ffn2(x), rng)
         return add(x, scale(dropout(h, p, rng), 0.5))
@@ -109,8 +109,8 @@ class Encoder(Module):
         x = self.subsampler(feats)
         x = add(scale(x, self._x_scale), self._positions(x.shape[0]))
         x = dropout(x, self.cfg.dropout, rng)
-        for i, layer in enumerate(self.layers):
-            x = layer(x, rng, captures=captures, layer_index=i)
+        for layer in self.layers:
+            x = layer(x, rng, captures=captures)
         return self.final_norm(x)
 
 

@@ -32,12 +32,10 @@ from .autodiff import (
     add,
     add_bias,
     backward,
-    concat_channels,
     matmul,
     mul,
     reshape,
     scale,
-    scale_rows,
     slice_channels,
     split_channels,
     swapaxes,
@@ -190,29 +188,17 @@ def _op_cases(seed: int) -> list[_Case]:
     x35 = rng.normal(size=(3, 5))
     bias5 = rng.normal(size=5)
     x234 = rng.normal(size=(2, 3, 4))
-    x63 = rng.normal(size=(6, 3))
-    r61 = rng.normal(size=(6, 1))
     case("add", lambda t: red(add(t, Tensor(x35))), rng.normal(size=(3, 5)))
     case("mul", lambda t: red(mul(t, Tensor(x35))), rng.normal(size=(3, 5)))
     case("scale", lambda t: red(scale(t, -1.7)), rng.normal(size=(4, 2)))
     case("add_bias.x", lambda t: red(add_bias(t, Tensor(bias5))), x35.copy())
     case("add_bias.b", lambda t: red(add_bias(Tensor(x35), t)), bias5.copy())
     case("add_bias.3d", lambda t: red(add_bias(Tensor(x234), t)), rng.normal(size=4))
-    case("scale_rows.x", lambda t: red(scale_rows(t, Tensor(r61))), x63.copy())
-    case("scale_rows.r", lambda t: red(scale_rows(Tensor(x63), t)), r61.copy())
 
-    part32 = rng.normal(size=(3, 2))
-    part22 = rng.normal(size=(2, 2))
-    part23 = rng.normal(size=(2, 3))
     case("slice_channels", lambda t: red(slice_channels(t, 1, 4)), rng.normal(size=(4, 6)))
     case("split_channels",
          lambda t: add(red(split_channels(t, 2)[0]), red(split_channels(t, 2)[1])),
          rng.normal(size=(3, 6)))
-    case("concat2", lambda t: red(concat_channels([t, Tensor(part32)])),
-         rng.normal(size=(3, 4)))
-    case("concat3",
-         lambda t: red(concat_channels([Tensor(part22), t, Tensor(part23)])),
-         rng.normal(size=(2, 1)))
     case("reshape", lambda t: red(reshape(t, (2, 6))), rng.normal(size=(3, 4)))
     case("swapaxes", lambda t: red(swapaxes(t, 0, 2)), rng.normal(size=(2, 3, 4)))
     case("tsum", lambda t: tsum(t), rng.normal(size=(3, 3)))

@@ -12,7 +12,6 @@ silently promote float32 activations under NumPy 2 promotion rules.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -147,25 +146,23 @@ class Linear(Module):
     """Affine map over the last axis: y = x @ W + b, W stored [d_in, d_out]."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=np.float32):
+                 dtype=np.float32):
         bound = 1.0 / math.sqrt(d_in)
         self.weight = _uniform(rng, (d_in, d_out), bound, dtype)
-        self.bias = _uniform(rng, (d_out,), bound, dtype) if bias else None
+        self.bias = _uniform(rng, (d_out,), bound, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = add_bias(y, self.bias)
-        return y
+        return add_bias(matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
     """Normalize the last axis to zero mean / unit variance, then affine."""
 
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-12):
+    EPS = 1e-12
+
+    def __init__(self, dim: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.eps = float(eps)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.gamma.shape[0]:
@@ -174,9 +171,9 @@ class LayerNorm(Module):
         mu = x.data.mean(axis=-1, keepdims=True)
         centered = x.data - mu
         var = np.square(centered).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = centered * inv_std
-        gamma, beta, eps = self.gamma, self.beta, self.eps
+        gamma, beta = self.gamma, self.beta
         out = Tensor(xhat * gamma.data + beta.data)
         n_inv = 1.0 / x.shape[-1]
 
@@ -270,21 +267,18 @@ class DepthwiseConv1d(Module):
     """
 
     def __init__(self, channels: int, kernel: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=np.float32):
+                 dtype=np.float32):
         (kernel,) = check_kernels((kernel,))
         self.kernel = kernel
         self.channels = channels
         bound = 1.0 / math.sqrt(kernel)
         self.weight = _uniform(rng, (channels, kernel), bound, dtype)
-        self.bias = _uniform(rng, (channels,), bound, dtype) if bias else None
+        self.bias = _uniform(rng, (channels,), bound, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"depthwise conv over {self.channels} channels got {x.shape}")
-        y = depthwise_conv(x, self.weight)
-        if self.bias is not None:
-            y = add_bias(y, self.bias)
-        return y
+        return add_bias(depthwise_conv(x, self.weight), self.bias)
 
 
 class GroupedConv1d(Module):
@@ -296,29 +290,22 @@ class GroupedConv1d(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 groups: int, rng: np.random.Generator, bias: bool = True,
-                 dtype=np.float32):
+                 groups: int, rng: np.random.Generator, dtype=np.float32):
         (kernel,) = check_kernels((kernel,))
         if groups < 1 or in_channels % groups or out_channels % groups:
             raise ConfigError(
                 f"groups={groups} must divide in={in_channels} and out={out_channels}")
         self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.groups = groups
         ipg = in_channels // groups
         opg = out_channels // groups
         bound = 1.0 / math.sqrt(ipg * kernel)
         self.weight = _uniform(rng, (groups, opg, ipg, kernel), bound, dtype)
-        self.bias = _uniform(rng, (out_channels,), bound, dtype) if bias else None
+        self.bias = _uniform(rng, (out_channels,), bound, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_channels:
             raise ShapeError(f"grouped conv over {self.in_channels} channels got {x.shape}")
-        y = grouped_conv(x, self.weight)
-        if self.bias is not None:
-            y = add_bias(y, self.bias)
-        return y
+        return add_bias(grouped_conv(x, self.weight), self.bias)
 
 
 class Conv2dDown(Module):
@@ -373,21 +360,16 @@ class Conv2dDown(Module):
 
 
 class FeedForward(Module):
-    """Two-layer position-wise network: expand, squash, project back."""
+    """Two-layer position-wise network: expand, swish, project back."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
-                 activation: str = "swish", dropout_p: float = 0.0,
-                 dtype=np.float32):
-        if activation not in ("swish", "gelu"):
-            raise ConfigError(f"unknown feed-forward activation {activation!r}")
+                 dropout_p: float = 0.0, dtype=np.float32):
         self.up = Linear(dim, hidden, rng, dtype=dtype)
         self.down = Linear(hidden, dim, rng, dtype=dtype)
-        self.activation = activation
         self.dropout_p = dropout_p
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        h = self.up(x)
-        h = swish(h) if self.activation == "swish" else gelu(h)
+        h = swish(self.up(x))
         h = dropout(h, self.dropout_p, rng)
         return self.down(h)
 

@@ -12,10 +12,11 @@ from multiconv.analysis import (
     kernel_importance,
     param_breakdown,
 )
+from multiconv.autodiff import Tensor
 from multiconv.config import EncoderConfig
 from multiconv.conv_blocks import fusion_param_count, FusionKind
 from multiconv.data import Utterance
-from multiconv.encoder import build_model
+from multiconv.encoder import EncoderCaptures, build_model
 from multiconv.errors import ContractError, ShapeError
 
 RNG = np.random.default_rng(23)
@@ -132,6 +133,43 @@ def test_importance_rows_sum_to_one_after_perturbation():
     imp = kernel_importance(model, make_utts(2))
     assert np.allclose(imp.sum(axis=1), 1.0, atol=1e-6)
     assert not np.allclose(imp, 0.5)  # perturbed gates moved off uniform
+
+
+def test_capture_entry_i_comes_from_layer_i():
+    # only layer 1 is skewed: its gate weight is zero, so every frame mixes
+    # by softmax(bias), and with zero query/key weights its attention gives
+    # every key the same score; layer 0 keeps its initial weights
+    model = build_model(tiny_cfg(), seed=3)
+    skewed_layer = model.encoder.layers[1]
+    bias = np.array([2.0, -1.0], dtype=np.float32)
+    skewed_layer.conv.unit.gate.bias.data[:] = bias
+    skewed_layer.attention.q_proj.weight.data[:] = 0.0
+    skewed_layer.attention.k_proj.weight.data[:] = 0.0
+    mixture = np.exp(bias) / np.exp(bias).sum()
+    rng = np.random.default_rng(5)
+    utts = [Utterance(f"u{i}", rng.normal(size=(25, 9)).astype(np.float32), [1, 2])
+            for i in range(3)]
+    t = 5  # frames after subsampling 25 input frames
+
+    captures = EncoderCaptures()
+    model(Tensor(utts[0].feats), captures=captures)
+    assert len(captures.gates) == len(captures.attention) == 2
+    for layer, (alpha, weights) in enumerate(zip(captures.gates, captures.attention)):
+        assert alpha.shape == (t, 2) and weights.shape == (2, t, t)
+        if layer == 1:
+            assert np.allclose(alpha, mixture, atol=1e-6)
+            assert np.allclose(weights, 1.0 / t, atol=1e-6)
+        else:
+            assert np.array_equal(alpha, np.full((t, 2), 0.5))
+            assert not np.allclose(weights, 1.0 / t, atol=1e-3)
+
+    importance = kernel_importance(model, utts)
+    assert np.allclose(importance[1], mixture, atol=1e-6)
+    assert np.array_equal(importance[0], np.full(2, 0.5))
+    diag = diagonality_by_layer_head(model, utts)
+    uniform = attention_diagonality(np.full((t, t), 1.0 / t))
+    assert np.allclose(diag[1], uniform, atol=1e-6)
+    assert not np.allclose(diag[0], uniform, atol=1e-3)
 
 
 def test_importance_requires_weighted_fusion():

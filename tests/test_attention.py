@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from multiconv.attention import AttentionMap, MultiHeadAttention
+from multiconv.attention import MultiHeadAttention
 from multiconv.autodiff import Tensor
 from multiconv.errors import ConfigError, ShapeError
 
@@ -28,10 +28,9 @@ def test_two_frame_hand_example():
     att = MultiHeadAttention(2, 1, np.random.default_rng(0), dtype=np.float64)
     _identity_projections(att)
     x = np.eye(2)
-    maps: list[AttentionMap] = []
-    out = att(Tensor(x), capture=maps, layer_index=4)
-    w = maps[0].weights[0]
-    assert maps[0].layer == 4
+    maps: list[np.ndarray] = []
+    out = att(Tensor(x), capture=maps)
+    w = maps[0][0]
     assert w[0, 0] == pytest.approx(DIAG_WEIGHT_2D, abs=1e-15)
     assert w[1, 1] == pytest.approx(DIAG_WEIGHT_2D, abs=1e-15)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-15)
@@ -42,7 +41,7 @@ def test_two_frame_hand_example():
 def test_weights_match_reference_softmax():
     att = MultiHeadAttention(8, 2, np.random.default_rng(1), dtype=np.float64)
     x = RNG.normal(size=(6, 8))
-    maps: list[AttentionMap] = []
+    maps: list[np.ndarray] = []
     att(Tensor(x), capture=maps)
     q = x @ att.q_proj.weight.data + att.q_proj.bias.data
     k = x @ att.k_proj.weight.data + att.k_proj.bias.data
@@ -50,26 +49,26 @@ def test_weights_match_reference_softmax():
         qh = q[:, head * 4:(head + 1) * 4]
         kh = k[:, head * 4:(head + 1) * 4]
         scores = qh @ kh.T / math.sqrt(4)
-        assert np.allclose(maps[0].weights[head], oracles.softmax_rows(scores),
+        assert np.allclose(maps[0][head], oracles.softmax_rows(scores),
                            atol=1e-12)
 
 
 def test_capture_shape_and_row_stochastic():
     att = MultiHeadAttention(6, 3, np.random.default_rng(2), dtype=np.float64)
-    maps: list[AttentionMap] = []
+    maps: list[np.ndarray] = []
     out = att(Tensor(RNG.normal(size=(5, 6))), capture=maps)
     assert out.shape == (5, 6)
     assert len(maps) == 1
-    assert maps[0].weights.shape == (3, 5, 5)
-    assert np.allclose(maps[0].weights.sum(axis=2), 1.0, atol=1e-12)
-    assert (maps[0].weights >= 0).all()
+    assert maps[0].shape == (3, 5, 5)
+    assert np.allclose(maps[0].sum(axis=2), 1.0, atol=1e-12)
+    assert (maps[0] >= 0).all()
 
 
 def test_single_frame_attends_to_itself():
     att = MultiHeadAttention(4, 2, np.random.default_rng(3), dtype=np.float64)
-    maps: list[AttentionMap] = []
+    maps: list[np.ndarray] = []
     att(Tensor(RNG.normal(size=(1, 4))), capture=maps)
-    assert np.array_equal(maps[0].weights, np.ones((2, 1, 1)))
+    assert np.array_equal(maps[0], np.ones((2, 1, 1)))
 
 
 def test_permutation_equivariance():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import multiconv.training
-from multiconv.cli import build_parser, main
+from multiconv.cli import _FLAG_FIELDS, _encoder_from_args, build_parser, main
 from multiconv.config import CONV_BLOCKS, FusionKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +202,17 @@ def test_name_choices_come_from_the_enum_and_the_block_tuple():
     assert len(fusions) == len(blocks) == 2  # train and param-count
     assert set(fusions) == {tuple(kind.value for kind in FusionKind)}
     assert set(blocks) == {CONV_BLOCKS}
+
+
+def test_help_defaults_are_those_of_a_config_built_from_flags():
+    parser = build_parser()
+    cfg = _encoder_from_args(parser.parse_args(["param-count"]))
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict))
+    helps = {a.dest: a.help for a in sub.choices["param-count"]._actions}
+    for name in _FLAG_FIELDS:
+        value = getattr(cfg, name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        assert helps[name].endswith(f"(default {text})"), name
 
 
 def test_interrupted_train_leaves_a_loadable_run(workspace, tmp_path, monkeypatch, capsys):

@@ -8,9 +8,8 @@ from multiconv.autodiff import (
     Tensor,
     add,
     backward,
-    concat_channels,
+    matmul,
     mul,
-    scale_rows,
     slice_channels,
     split_channels,
     tsum,
@@ -23,7 +22,6 @@ from multiconv.conv_blocks import (
     ConformerConvBlock,
     CsguBlock,
     FusionKind,
-    GateMap,
     Mcsgu,
     MultiConvBlock,
     fusion_param_count,
@@ -97,10 +95,9 @@ def test_weighted_fusion_mixes_with_softmax_gates():
     unit.gate.weight.data = np.random.default_rng(9).normal(size=(12, 2))
     unit.gate.bias.data = np.random.default_rng(10).normal(size=2)
     a = RNG.normal(size=(7, 24))
-    gates: list[GateMap] = []
-    out = unit(Tensor(a), gate_capture=gates, layer_index=3)
-    alpha = gates[0].alpha
-    assert gates[0].layer == 3
+    gates: list[np.ndarray] = []
+    out = unit(Tensor(a), gate_capture=gates)
+    alpha = gates[0]
     assert alpha.shape == (7, 2)
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
     z_l = a[:, :12]
@@ -114,9 +111,9 @@ def test_weighted_gate_starts_at_zero_and_uniform():
     for p, kernels in ((2, (3, 5)), (4, (3, 5, 7, 9))):
         unit = _unit(FusionKind.WEIGHTED, d_inter=8 * p, kernels=kernels)
         assert np.array_equal(unit.gate.weight.data, np.zeros((4 * p, p)))
-        gates: list[GateMap] = []
+        gates: list[np.ndarray] = []
         unit(Tensor(RNG.normal(size=(6, 8 * p))), gate_capture=gates)
-        assert np.array_equal(gates[0].alpha, np.full((6, p), 1.0 / p))
+        assert np.array_equal(gates[0], np.full((6, p), 1.0 / p))
 
 
 def test_weighted_with_zero_gate_equals_scaled_sum():
@@ -244,7 +241,7 @@ def test_multiconv_block_shapes_and_gate_capture():
     for fusion in FusionKind:
         block = MultiConvBlock(10, 24, (3, 5), fusion, np.random.default_rng(1),
                                dtype=np.float64)
-        gates: list[GateMap] = []
+        gates: list[np.ndarray] = []
         out = block(Tensor(RNG.normal(size=(7, 10))), gate_capture=gates)
         assert out.shape == (7, 10)
         assert len(gates) == (1 if fusion is FusionKind.WEIGHTED else 0)
@@ -265,23 +262,31 @@ def test_conformer_block_single_frame():
 
 def _unfused(unit, a):
     """The gating unit as written in its definition: every branch module run
-    on its own, then fused by the rule. Reference for the folded forward."""
+    on its own, then fused by the rule. Reference for the folded forward.
+
+    Built from generic ops only: alpha[:, i] is broadcast over channels as a
+    product with a row of ones, and the branch outputs are concatenated by
+    0/1 placement matrices. Both are exact in float arithmetic."""
     z_l, z_r = split_channels(a, unit.half)
     z_r = unit.norm(z_r)
     outs = [conv(z_r) for conv in unit.branches]
-    if unit.fusion is FusionKind.SUM:
-        fused = outs[0]
-        for v in outs[1:]:
-            fused = add(fused, v)
-    elif unit.fusion is FusionKind.WEIGHTED:
+    if unit.fusion is FusionKind.WEIGHTED:
         alpha = softmax(unit.gate(z_r))
-        fused = scale_rows(outs[0], slice_channels(alpha, 0, 1))
-        for i, v in enumerate(outs[1:], start=1):
-            fused = add(fused, scale_rows(v, slice_channels(alpha, i, i + 1)))
-    else:
-        fused = concat_channels(outs)
-        if unit.final_conv is not None:
-            fused = unit.final_conv(fused)
+        ones = Tensor(np.ones((1, unit.half)))
+        outs = [mul(v, matmul(slice_channels(alpha, i, i + 1), ones))
+                for i, v in enumerate(outs)]
+    elif unit.fusion is not FusionKind.SUM:
+        lo = 0
+        for i, v in enumerate(outs):
+            place = np.zeros((v.shape[1], unit.half))
+            place[:, lo:lo + v.shape[1]] = np.eye(v.shape[1])
+            outs[i] = matmul(v, Tensor(place))
+            lo += v.shape[1]
+    fused = outs[0]
+    for v in outs[1:]:
+        fused = add(fused, v)
+    if unit.final_conv is not None:
+        fused = unit.final_conv(fused)
     return mul(z_l, fused)
 
 

@@ -132,6 +132,34 @@ def test_manifest_overrun_detected(corpus):
         load_split(root, "dev")
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _non_utf8(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
+def _drop_key(path):
+    manifest = json.loads(path.read_text())
+    del manifest["total_frames"]
+    path.write_text(json.dumps(manifest))
+
+
+def _ill_typed(path):
+    manifest = json.loads(path.read_text())
+    manifest["utterances"][0]["offset"] = "0"
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _non_utf8, _drop_key, _ill_typed])
+def test_corrupt_manifest_raises_integrity_error(corpus, corrupt):
+    _, root = corpus
+    corrupt(root / "dev.json")
+    with pytest.raises(IntegrityError, match="dev.json"):
+        load_split(root, "dev")
+
+
 def test_transcript_mismatch_detected(corpus):
     _, root = corpus
     lines = (root / "dev.txt").read_text().splitlines()

@@ -44,10 +44,9 @@ def test_captures_collect_per_layer():
     model = build_model(cfg, seed=1)
     captures = EncoderCaptures()
     model(Tensor(RNG.normal(size=(20, 9)).astype(np.float32)), captures=captures)
-    assert [m.layer for m in captures.attention] == [0, 1, 2]
-    assert [g.layer for g in captures.gates] == [0, 1, 2]
-    assert captures.attention[0].weights.shape == (2, 4, 4)
-    assert captures.gates[0].alpha.shape == (4, 2)
+    assert len(captures.attention) == len(captures.gates) == 3
+    assert all(w.shape == (2, 4, 4) for w in captures.attention)
+    assert all(g.shape == (4, 2) for g in captures.gates)
 
 
 def test_no_gate_captures_for_other_fusions():
