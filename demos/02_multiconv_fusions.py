@@ -31,7 +31,7 @@ frames = Tensor(rng.normal(size=(12, D_INTER)))
 # 1. same input, four fusion rules
 print(f"input [T, d_inter] = {frames.shape}, kernels {KERNELS}")
 for fusion in FusionKind:
-    unit = Mcsgu(D_INTER, KERNELS, fusion, np.random.default_rng(1), dtype=np.float64)
+    unit = Mcsgu(D_INTER, KERNELS, fusion, np.random.default_rng(1))
     out = unit(frames)
     n_params = sum(p.data.size for _, p in unit.named_parameters())
     formula = fusion_param_count(fusion, D_INTER, KERNELS)
@@ -40,7 +40,7 @@ for fusion in FusionKind:
 
 # 2. P=1 with sum fusion is exactly the single-kernel gating unit: the left
 # half times a width-7 depthwise convolution of the layer-normed right half
-multi = Mcsgu(D_INTER, (7,), FusionKind.SUM, np.random.default_rng(2), dtype=np.float64)
+multi = Mcsgu(D_INTER, (7,), FusionKind.SUM, np.random.default_rng(2))
 x = Tensor(rng.normal(size=(10, D_INTER)))
 left, right = x.data[:, :D_INTER // 2], x.data[:, D_INTER // 2:]
 centred = right - right.mean(axis=1, keepdims=True)
@@ -54,10 +54,8 @@ assert gap < 1e-12
 
 # 3. the weighted gate projection starts at zero, so before any training the
 # softmax is uniform and the mixture equals the sum fusion divided by P
-weighted = Mcsgu(D_INTER, KERNELS, FusionKind.WEIGHTED,
-                 np.random.default_rng(4), dtype=np.float64)
-summed = Mcsgu(D_INTER, KERNELS, FusionKind.SUM,
-               np.random.default_rng(4), dtype=np.float64)
+weighted = Mcsgu(D_INTER, KERNELS, FusionKind.WEIGHTED, np.random.default_rng(4))
+summed = Mcsgu(D_INTER, KERNELS, FusionKind.SUM, np.random.default_rng(4))
 gap = np.abs(weighted(x).data - summed(x).data / len(KERNELS)).max()
 print(f"zero-init weighted vs sum/P:  max diff = {gap:.2e}")
 assert gap < 1e-12

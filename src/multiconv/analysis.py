@@ -114,17 +114,6 @@ def importance_csv(importance: np.ndarray, kernels) -> str:
     return out.getvalue()
 
 
-def _conv_fusion_params(layer_conv) -> int:
-    """Parameters of the kernels-plus-fusion part of one multi-kernel block."""
-    unit = layer_conv.unit
-    counted = sum(t.size for conv in unit.branches for t in conv.parameters())
-    if unit.gate is not None:
-        counted += sum(t.size for t in unit.gate.parameters())
-    if unit.final_conv is not None:
-        counted += sum(t.size for t in unit.final_conv.parameters())
-    return counted
-
-
 def param_breakdown(cfg: EncoderConfig) -> dict:
     """Instantiate the model and count parameters per component.
 
@@ -151,7 +140,8 @@ def param_breakdown(cfg: EncoderConfig) -> dict:
         },
     }
     if cfg.conv_block == "multiconv":
-        measured = _conv_fusion_params(layers[0].conv)
+        unit = layers[0].conv.unit
+        measured = unit.param_count() - unit.norm.param_count()  # all but the shared norm
         expected = fusion_param_count(FusionKind(cfg.fusion), cfg.inter_width, cfg.kernels)
         if measured != expected:
             raise IntegrityError(

@@ -23,17 +23,16 @@ class MultiHeadAttention(Module):
     [heads, T, T] array whose row ``[h, q]`` is a distribution over keys.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 dropout_p: float = 0.0, dtype=np.float32):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dropout_p: float = 0.0):
         if dim % heads:
             raise ConfigError(f"dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.q_proj = Linear(dim, dim, rng, dtype=dtype)
-        self.k_proj = Linear(dim, dim, rng, dtype=dtype)
-        self.v_proj = Linear(dim, dim, rng, dtype=dtype)
-        self.out_proj = Linear(dim, dim, rng, dtype=dtype)
+        self.q_proj = Linear(dim, dim, rng)
+        self.k_proj = Linear(dim, dim, rng)
+        self.v_proj = Linear(dim, dim, rng)
+        self.out_proj = Linear(dim, dim, rng)
         self.dropout_p = dropout_p
 
     def _split_heads(self, x: Tensor, t: int) -> Tensor:

@@ -158,7 +158,7 @@ class Mcsgu(Module):
     """
 
     def __init__(self, d_inter: int, kernels: Sequence[int], fusion: FusionKind,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         kernels = check_kernels(kernels)
         check_gate_width(d_inter, fusion, len(kernels))
         half = d_inter // 2
@@ -167,25 +167,25 @@ class Mcsgu(Module):
         self.half = half
         self.kernels = kernels
         self.fusion = fusion
-        self.norm = LayerNorm(half, dtype=dtype)
+        self.norm = LayerNorm(half)
         self.gate: Linear | None = None
         self.final_conv: DepthwiseConv1d | None = None
         if fusion in (FusionKind.SUM, FusionKind.WEIGHTED):
-            self.branches = [DepthwiseConv1d(half, k, rng, dtype=dtype) for k in kernels]
+            self.branches = [DepthwiseConv1d(half, k, rng) for k in kernels]
             if fusion is FusionKind.WEIGHTED:
                 # Zero start: the gate softmax opens at the uniform mixture and
                 # its learned rows double as kernel-importance readouts.
-                gate = Linear(half, p, rng, dtype=dtype)
+                gate = Linear(half, p, rng)
                 gate.weight.data[:] = 0.0
                 gate.bias.data[:] = 0.0
                 self.gate = gate
         elif fusion in (FusionKind.CONCAT, FusionKind.DEPTH):
             self.branches = [
-                GroupedConv1d(half, half // p, k, groups=half // p, rng=rng, dtype=dtype)
+                GroupedConv1d(half, half // p, k, groups=half // p, rng=rng)
                 for k in kernels
             ]
             if fusion is FusionKind.DEPTH:
-                self.final_conv = DepthwiseConv1d(half, max(kernels), rng, dtype=dtype)
+                self.final_conv = DepthwiseConv1d(half, max(kernels), rng)
         else:
             raise ConfigError(f"unhandled fusion {fusion}")
 
@@ -223,10 +223,10 @@ class MultiConvBlock(Module):
 
     def __init__(self, dim: int, d_inter: int, kernels: Sequence[int],
                  fusion: FusionKind, rng: np.random.Generator,
-                 dropout_p: float = 0.0, dtype=np.float32):
-        self.up = Linear(dim, d_inter, rng, dtype=dtype)
-        self.unit = Mcsgu(d_inter, kernels, fusion, rng, dtype=dtype)
-        self.down = Linear(d_inter // 2, dim, rng, dtype=dtype)
+                 dropout_p: float = 0.0):
+        self.up = Linear(dim, d_inter, rng)
+        self.unit = Mcsgu(d_inter, kernels, fusion, rng)
+        self.down = Linear(d_inter // 2, dim, rng)
         self.dropout_p = dropout_p
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
@@ -242,10 +242,8 @@ class CsguBlock(MultiConvBlock):
     multi-kernel block with one kernel and ``sum`` fusion."""
 
     def __init__(self, dim: int, d_inter: int, kernel: int,
-                 rng: np.random.Generator, dropout_p: float = 0.0,
-                 dtype=np.float32):
-        super().__init__(dim, d_inter, (kernel,), FusionKind.SUM, rng,
-                         dropout_p=dropout_p, dtype=dtype)
+                 rng: np.random.Generator, dropout_p: float = 0.0):
+        super().__init__(dim, d_inter, (kernel,), FusionKind.SUM, rng, dropout_p=dropout_p)
 
     # bound here, not inherited, so a tracer that patches both classes'
     # __call__ wraps each once and restores each to its own original
@@ -261,12 +259,11 @@ class ConformerConvBlock(Module):
     are no batch statistics to track.
     """
 
-    def __init__(self, dim: int, kernel: int, rng: np.random.Generator,
-                 dropout_p: float = 0.0, dtype=np.float32):
-        self.pw_in = Linear(dim, 2 * dim, rng, dtype=dtype)
-        self.conv = DepthwiseConv1d(dim, kernel, rng, dtype=dtype)
-        self.norm = LayerNorm(dim, dtype=dtype)
-        self.pw_out = Linear(dim, dim, rng, dtype=dtype)
+    def __init__(self, dim: int, kernel: int, rng: np.random.Generator, dropout_p: float = 0.0):
+        self.pw_in = Linear(dim, 2 * dim, rng)
+        self.conv = DepthwiseConv1d(dim, kernel, rng)
+        self.norm = LayerNorm(dim)
+        self.pw_out = Linear(dim, dim, rng)
         self.dropout_p = dropout_p
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,

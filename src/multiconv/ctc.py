@@ -27,6 +27,33 @@ def _extended_states(labels: Sequence[int]) -> np.ndarray:
     return ext
 
 
+def _skip_in(ext: np.ndarray) -> np.ndarray:
+    """Where the skip transition s-2 -> s exists: state s is a label that
+    differs from the one at s-2."""
+    skip = np.zeros(ext.shape[0], dtype=bool)
+    skip[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
+    return skip
+
+
+def _forward_vars(lp_ext: np.ndarray, skip_in: np.ndarray) -> np.ndarray:
+    """Log-space forward variables over a chain lattice with emission
+    log-probs lp_ext[T, S]: entry [t, s] sums every path that starts in state
+    0 or 1 and is in state s at frame t, frame t's emission included. A path
+    moves to s from s, s-1, or from s-2 where ``skip_in[s]``."""
+    n_frames, n_states = lp_ext.shape
+    alpha = np.full((n_frames, n_states), NEG_INF)
+    alpha[0, :2] = lp_ext[0, :2]
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        step = np.concatenate(([NEG_INF], prev[:-1]))
+        merged = np.logaddexp(prev, step)
+        if n_states > 2:
+            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
+            merged = np.where(skip_in, np.logaddexp(merged, skip), merged)
+        alpha[t] = merged + lp_ext[t]
+    return alpha
+
+
 def min_frames(labels: Sequence[int]) -> int:
     """Fewest frames that can realize the label sequence under CTC rules."""
     repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
@@ -72,47 +99,16 @@ def ctc_loss(logits: Tensor, labels: Sequence[int]) -> tuple[Tensor, bool]:
     lp = _log_softmax64(logits.data)
     lp_ext = lp[:, ext]  # [T, S] emission log-probs per chain state
 
-    # skip transition s-2 -> s exists where state s is a label differing from s-2
-    skip_in = np.zeros(n_states, dtype=bool)
-    if n_states > 2:
-        skip_in[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-
-    alpha = np.full((n_frames, n_states), NEG_INF)
-    alpha[0, 0] = lp_ext[0, 0]
-    if n_states > 1:
-        alpha[0, 1] = lp_ext[0, 1]
-    for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        merged = np.logaddexp(prev, step)
-        if n_states > 2:
-            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-            merged = np.where(skip_in, np.logaddexp(merged, skip), merged)
-        alpha[t] = merged + lp_ext[t]
-
-    tail = alpha[-1, -1]
-    if n_states > 1:
-        tail = np.logaddexp(tail, alpha[-1, -2])
-    log_like = tail
+    alpha = _forward_vars(lp_ext, _skip_in(ext))
+    # a complete path ends in the final blank or in the last label
+    log_like = np.logaddexp.reduce(alpha[-1, -2:])
     if log_like == NEG_INF:
         # unreachable for feasible inputs with finite logits, but stay safe
         return Tensor(np.float64(np.inf)), False
 
-    beta = np.full((n_frames, n_states), NEG_INF)
-    beta[-1, -1] = lp_ext[-1, -1]
-    if n_states > 1:
-        beta[-1, -2] = lp_ext[-1, -2]
-    skip_out = np.zeros(n_states, dtype=bool)
-    if n_states > 2:
-        skip_out[:-2] = skip_in[2:]
-    for t in range(n_frames - 2, -1, -1):
-        nxt = beta[t + 1]
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        merged = np.logaddexp(nxt, step)
-        if n_states > 2:
-            skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-            merged = np.where(skip_out, np.logaddexp(merged, skip), merged)
-        beta[t] = merged + lp_ext[t]
+    # The backward variables are the forward ones of the lattice with frames
+    # and states reversed; the reversed chain is that of the reversed labels.
+    beta = _forward_vars(lp_ext[::-1, ::-1], _skip_in(ext[::-1]))[::-1, ::-1]
 
     # state occupancy; alpha and beta both include the frame-t emission
     with np.errstate(invalid="ignore"):

@@ -133,6 +133,21 @@ def _read_manifest(path: Path):
             f"{path.name} is not a valid split manifest ({type(exc).__name__}: {exc})") from None
 
 
+def _read_transcripts(path: Path) -> dict[str, list[int]]:
+    """``{id: tokens}`` from a split's text file of ``<id> <tok> ...`` lines.
+    Text that is not UTF-8, a blank line, or a token that is not an integer
+    raises :class:`IntegrityError`."""
+    try:
+        transcripts = {}
+        for line in path.read_text().splitlines():
+            uid, *tokens = line.split()
+            transcripts[uid] = [int(t) for t in tokens]
+        return transcripts
+    except ValueError as exc:  # decoding and unpacking errors are ValueErrors too
+        raise IntegrityError(
+            f"{path.name} is not a valid transcript file ({type(exc).__name__}: {exc})") from None
+
+
 def load_split(data_dir, split: str) -> list[Utterance]:
     """Read one split back, cross-checking sizes and the text transcripts."""
     if split not in SPLITS:
@@ -146,10 +161,7 @@ def load_split(data_dir, split: str) -> list[Utterance]:
         raise IntegrityError(
             f"{split}.f32 holds {frames.size} values, manifest expects {expected}")
     frames = frames.reshape(total_frames, n_mels)
-    text_tokens: dict[str, list[int]] = {}
-    for line in (root / f"{split}.txt").read_text().splitlines():
-        parts = line.split()
-        text_tokens[parts[0]] = [int(t) for t in parts[1:]]
+    text_tokens = _read_transcripts(root / f"{split}.txt")
     utts = []
     for uid, lo, n_frames, tokens in entries:
         hi = lo + n_frames

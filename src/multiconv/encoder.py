@@ -40,33 +40,29 @@ class EncoderCaptures:
     gates: list[np.ndarray] = field(default_factory=list)
 
 
-def _make_conv_block(cfg: EncoderConfig, rng: np.random.Generator, dtype):
+def _make_conv_block(cfg: EncoderConfig, rng: np.random.Generator):
     widest = max(cfg.kernels)
     if cfg.conv_block == "multiconv":
         return MultiConvBlock(cfg.dim, cfg.inter_width, cfg.kernels,
-                              parse_fusion(cfg.fusion), rng,
-                              dropout_p=cfg.dropout, dtype=dtype)
+                              parse_fusion(cfg.fusion), rng, dropout_p=cfg.dropout)
     if cfg.conv_block == "csgu":
-        return CsguBlock(cfg.dim, cfg.inter_width, widest, rng,
-                         dropout_p=cfg.dropout, dtype=dtype)
+        return CsguBlock(cfg.dim, cfg.inter_width, widest, rng, dropout_p=cfg.dropout)
     if cfg.conv_block == "conformer":
-        return ConformerConvBlock(cfg.dim, widest, rng,
-                                  dropout_p=cfg.dropout, dtype=dtype)
+        return ConformerConvBlock(cfg.dim, widest, rng, dropout_p=cfg.dropout)
     raise ConfigError(f"unknown conv_block {cfg.conv_block!r}")
 
 
 class EncoderLayer(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         dim = cfg.dim
-        self.norm_ffn1 = LayerNorm(dim, dtype=dtype)
-        self.ffn1 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout, dtype=dtype)
-        self.norm_att = LayerNorm(dim, dtype=dtype)
-        self.attention = MultiHeadAttention(dim, cfg.heads, rng,
-                                            dropout_p=cfg.dropout, dtype=dtype)
-        self.norm_conv = LayerNorm(dim, dtype=dtype)
-        self.conv = _make_conv_block(cfg, rng, dtype)
-        self.norm_ffn2 = LayerNorm(dim, dtype=dtype)
-        self.ffn2 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout, dtype=dtype)
+        self.norm_ffn1 = LayerNorm(dim)
+        self.ffn1 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout)
+        self.norm_att = LayerNorm(dim)
+        self.attention = MultiHeadAttention(dim, cfg.heads, rng, dropout_p=cfg.dropout)
+        self.norm_conv = LayerNorm(dim)
+        self.conv = _make_conv_block(cfg, rng)
+        self.norm_ffn2 = LayerNorm(dim)
+        self.ffn2 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout)
         self.dropout_p = cfg.dropout
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
@@ -87,27 +83,25 @@ class EncoderLayer(Module):
 class Encoder(Module):
     """Maps raw features [L, n_mels] to hidden states [T, dim]."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        self.dtype = dtype
-        self.subsampler = Subsampler(cfg.n_mels, cfg.dim, rng, dtype=dtype)
-        self.layers = [EncoderLayer(cfg, rng, dtype) for _ in range(cfg.layers)]
-        self.final_norm = LayerNorm(cfg.dim, dtype=dtype)
-        self._pos_table = sinusoid_table(64, cfg.dim, dtype=dtype)
+        self.subsampler = Subsampler(cfg.n_mels, cfg.dim, rng)
+        self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.layers)]
+        self.final_norm = LayerNorm(cfg.dim)
+        self._pos_table = sinusoid_table(64, cfg.dim)
         self._x_scale = math.sqrt(cfg.dim)
 
-    def _positions(self, t: int) -> Tensor:
+    def _positions(self, t: int, dtype) -> Tensor:
         if t > self._pos_table.shape[0]:
             grown = max(t, 2 * self._pos_table.shape[0])
-            self._pos_table = sinusoid_table(grown, self.cfg.dim, dtype=self.dtype)
-        return Tensor(self._pos_table[:t])
+            self._pos_table = sinusoid_table(grown, self.cfg.dim)
+        return Tensor(self._pos_table[:t].astype(dtype, copy=False))
 
     def __call__(self, feats: Tensor, rng: np.random.Generator | None = None,
                  captures: EncoderCaptures | None = None) -> Tensor:
         x = self.subsampler(feats)
-        x = add(scale(x, self._x_scale), self._positions(x.shape[0]))
+        x = add(scale(x, self._x_scale), self._positions(x.shape[0], x.dtype))
         x = dropout(x, self.cfg.dropout, rng)
         for layer in self.layers:
             x = layer(x, rng, captures=captures)
@@ -120,10 +114,9 @@ class CtcModel(Module):
     Output class 0 is the blank; classes 1..vocab are the real tokens.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.encoder = Encoder(cfg, rng, dtype=dtype)
-        self.head = Linear(cfg.dim, cfg.vocab + 1, rng, dtype=dtype)
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+        self.encoder = Encoder(cfg, rng)
+        self.head = Linear(cfg.dim, cfg.vocab + 1, rng)
 
     @property
     def cfg(self) -> EncoderConfig:
@@ -134,12 +127,9 @@ class CtcModel(Module):
         return self.head(self.encoder(feats, rng, captures=captures))
 
 
-def build_model(cfg: EncoderConfig, seed: int | None = None,
-                dtype=np.float32) -> CtcModel:
-    """Construct a model whose initial weights are fully pinned by the seed.
-
-    The explicit ``seed`` argument overrides ``cfg.seed`` when given.
-    """
-    if seed is None:
-        seed = cfg.seed
-    return CtcModel(cfg, np.random.default_rng(seed), dtype=dtype)
+def build_model(cfg: EncoderConfig, dtype=np.float32) -> CtcModel:
+    """Construct a model whose initial weights are fully pinned by ``cfg.seed``,
+    with every parameter cast to ``dtype``."""
+    model = CtcModel(cfg, np.random.default_rng(cfg.seed))
+    model.astype(dtype)
+    return model

@@ -20,7 +20,7 @@ Everything runs in float64; float32 would drown the comparison in rounding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -211,20 +211,20 @@ def _op_cases(seed: int) -> list[_Case]:
     case("softmax.3d", lambda t: red(softmax(t)), rng.normal(size=(2, 3, 4)))
     case("glu", lambda t: red(glu(t)), rng.normal(size=(5, 6)))
 
-    norm = LayerNorm(6, dtype=np.float64)
+    norm = LayerNorm(6)
     norm.gamma.data = rng.normal(size=6)
     norm.beta.data = rng.normal(size=6)
     x_ln = rng.normal(size=(4, 6))
     case("layer_norm.x", lambda t: red(norm(t)), x_ln.copy())
     _param_cases(case, "layer_norm", norm, lambda: red(norm(Tensor(x_ln))))
 
-    lin = Linear(5, 3, rng, dtype=np.float64)
+    lin = Linear(5, 3, rng)
     x_lin = rng.normal(size=(4, 5))
     case("linear.x", lambda t: red(lin(t)), x_lin.copy())
     _param_cases(case, "linear", lin, lambda: red(lin(Tensor(x_lin))))
 
     for k in (1, 3, 7):
-        dw = DepthwiseConv1d(4, k, rng, dtype=np.float64)
+        dw = DepthwiseConv1d(4, k, rng)
         x_dw = rng.normal(size=(9, 4))
         case(f"depthwise_k{k}.x", lambda t, dw=dw: red(dw(t)), x_dw.copy())
         _param_cases(case, f"depthwise_k{k}", dw,
@@ -235,13 +235,13 @@ def _op_cases(seed: int) -> list[_Case]:
         "b": (8, 4, 4, 5),
         "c": (6, 6, 2, 3),
     }.items():
-        gc = GroupedConv1d(cin, cout, k, groups, rng, dtype=np.float64)
+        gc = GroupedConv1d(cin, cout, k, groups, rng)
         x_gc = rng.normal(size=(7, cin))
         case(f"grouped_{label}.x", lambda t, gc=gc: red(gc(t)), x_gc.copy())
         _param_cases(case, f"grouped_{label}", gc,
                      lambda gc=gc, x_gc=x_gc: red(gc(Tensor(x_gc))))
 
-    c2 = Conv2dDown(2, 3, rng, dtype=np.float64)
+    c2 = Conv2dDown(2, 3, rng)
     x_c2 = rng.normal(size=(7, 9, 2))
     case("conv2d.x", lambda t: red(c2(t)), x_c2.copy())
     _param_cases(case, "conv2d", c2, lambda: red(c2(Tensor(x_c2))))
@@ -256,17 +256,17 @@ def _composite_cases(seed: int) -> list[_Case]:
     def case(name, fn, x0, tol=COMPOSITE_TOL):
         cases.append(_Case(name, fn, x0, tol))
 
-    ffn = FeedForward(6, 10, rng, dtype=np.float64)
+    ffn = FeedForward(6, 10, rng)
     case("feed_forward.x", lambda t: red(ffn(t)), rng.normal(size=(5, 6)))
 
-    sub = Subsampler(9, 6, rng, dtype=np.float64)
+    sub = Subsampler(9, 6, rng)
     x_sub = rng.normal(size=(17, 9))
     case("subsampler.x", lambda t: red(sub(t)), x_sub.copy())
     _param_cases(case, "subsampler", sub, lambda: red(sub(Tensor(x_sub))))
 
     x_unit = rng.normal(size=(7, 12))
     for fusion in FusionKind:
-        unit = Mcsgu(12, (3, 5), fusion, rng, dtype=np.float64)
+        unit = Mcsgu(12, (3, 5), fusion, rng)
         if unit.gate is not None:  # a mixture that varies over frames
             unit.gate.weight.data = rng.normal(size=unit.gate.weight.shape)
         case(f"mcsgu_{fusion.value}.a", lambda t, unit=unit: red(unit(t)),
@@ -275,49 +275,43 @@ def _composite_cases(seed: int) -> list[_Case]:
                      lambda unit=unit: red(unit(Tensor(x_unit))))
 
     for fusion in FusionKind:
-        block = MultiConvBlock(6, 8, (3, 5), fusion, rng, dtype=np.float64)
+        block = MultiConvBlock(6, 8, (3, 5), fusion, rng)
         case(f"multiconv_block_{fusion.value}.x", lambda t, block=block: red(block(t)),
              rng.normal(size=(7, 6)))
 
-    blk = MultiConvBlock(6, 8, (3,), FusionKind.SUM, rng, dtype=np.float64)
+    blk = MultiConvBlock(6, 8, (3,), FusionKind.SUM, rng)
     x_blk = rng.normal(size=(6, 6))
     _param_cases(case, "multiconv_block", blk, lambda: red(blk(Tensor(x_blk))))
 
-    csgu_blk = CsguBlock(6, 8, 3, rng, dtype=np.float64)
+    csgu_blk = CsguBlock(6, 8, 3, rng)
     case("csgu_block.x", lambda t: red(csgu_blk(t)), rng.normal(size=(6, 6)))
-    conf = ConformerConvBlock(6, 5, rng, dtype=np.float64)
+    conf = ConformerConvBlock(6, 5, rng)
     x_conf = rng.normal(size=(7, 6))
     case("conformer_block.x", lambda t: red(conf(t)), x_conf.copy())
     _param_cases(case, "conformer_block", conf, lambda: red(conf(Tensor(x_conf))))
 
     for heads in (1, 2):
-        att = MultiHeadAttention(6, heads, rng, dtype=np.float64)
+        att = MultiHeadAttention(6, heads, rng)
 
         def att_x(t, att=att):
             return red(att(t))
 
         case(f"attention_h{heads}.x", att_x, rng.normal(size=(5, 6)))
 
-    att = MultiHeadAttention(6, 2, rng, dtype=np.float64)
+    att = MultiHeadAttention(6, 2, rng)
     x_att = rng.normal(size=(4, 6))
     _param_cases(case, "attention", att, lambda: red(att(Tensor(x_att))))
 
+    tiny = EncoderConfig(dim=6, layers=1, heads=2, d_inter=8, d_ffn=10,
+                         conv_block="multiconv", fusion="depth", kernels=(3, 5),
+                         n_mels=9, vocab=3)
     layer_cfgs = [
-        ("layer_multiconv_sum", EncoderConfig(dim=6, layers=1, heads=2, d_inter=8,
-                                              d_ffn=10, conv_block="multiconv",
-                                              fusion="sum", kernels=(3, 5),
-                                              n_mels=9, vocab=3)),
-        ("layer_multiconv_depth", EncoderConfig(dim=6, layers=1, heads=2, d_inter=8,
-                                                d_ffn=10, conv_block="multiconv",
-                                                fusion="depth", kernels=(3, 5),
-                                                n_mels=9, vocab=3)),
-        ("layer_conformer", EncoderConfig(dim=6, layers=1, heads=2, d_inter=8,
-                                          d_ffn=10, conv_block="conformer",
-                                          fusion="sum", kernels=(3,),
-                                          n_mels=9, vocab=3)),
+        ("layer_multiconv_sum", replace(tiny, fusion="sum")),
+        ("layer_multiconv_depth", tiny),
+        ("layer_conformer", replace(tiny, conv_block="conformer", fusion="sum", kernels=(3,))),
     ]
     for name, cfg in layer_cfgs:
-        layer = EncoderLayer(cfg, rng, dtype=np.float64)
+        layer = EncoderLayer(cfg, rng)
 
         def layer_x(t, layer=layer):
             return red(layer(t))
@@ -329,10 +323,7 @@ def _composite_cases(seed: int) -> list[_Case]:
         ("encoder_csgu", "csgu", "sum"),
     ]
     for name, block_kind, fusion in enc_cfgs:
-        cfg = EncoderConfig(dim=6, layers=1, heads=2, d_inter=8, d_ffn=10,
-                            conv_block=block_kind, fusion=fusion, kernels=(3, 5),
-                            n_mels=9, vocab=3)
-        enc = Encoder(cfg, rng, dtype=np.float64)
+        enc = Encoder(replace(tiny, conv_block=block_kind, fusion=fusion), rng)
 
         def enc_x(t, enc=enc):
             return red(enc(t))
@@ -356,10 +347,7 @@ def _composite_cases(seed: int) -> list[_Case]:
 
         case(name, ctc_fn, logits0)
 
-    model_cfg = EncoderConfig(dim=6, layers=1, heads=2, d_inter=8, d_ffn=10,
-                              conv_block="multiconv", fusion="depth",
-                              kernels=(3, 5), n_mels=9, vocab=3)
-    model = CtcModel(model_cfg, rng, dtype=np.float64)
+    model = CtcModel(tiny, rng)
     feats0 = rng.normal(size=(16, 9))
     labels0 = [1, 3, 2]
 

@@ -3,7 +3,8 @@
 Everything here is a pure function over :class:`~multiconv.autodiff.Tensor`
 or a small :class:`Module` owning parameter tensors. Modules draw their
 initial weights from a caller-supplied ``numpy.random.Generator`` in a fixed
-order, so a seed pins the whole model.
+order, so a seed pins the whole model. Parameters are built in float64;
+:meth:`Module.astype` casts a finished module to float32.
 
 Scalar constants are python floats throughout; numpy float64 scalars would
 silently promote float32 activations under NumPy 2 promotion rules.
@@ -16,9 +17,10 @@ import math
 import numpy as np
 from scipy import special
 
-from .autodiff import Tensor, add_bias, matmul, mul, record, reshape
+from .autodiff import (FLOAT_DTYPES, Tensor, add_bias, matmul, mul, record, reshape,
+                       split_channels)
 from .config import check_kernels
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -81,8 +83,6 @@ def glu(x: Tensor) -> Tensor:
     c = x.shape[-1]
     if c % 2:
         raise ShapeError(f"glu needs an even channel count, got {c}")
-    from .autodiff import split_channels
-
     a, b = split_channels(x, c // 2)
     return mul(a, sigmoid(b))
 
@@ -107,9 +107,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 # parameter containers
 
 
-def _uniform(rng: np.random.Generator, shape, bound: float, dtype) -> Tensor:
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+def _uniform(rng: np.random.Generator, shape, bound: float) -> Tensor:
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 class Module:
@@ -141,15 +140,23 @@ class Module:
         for t in self.parameters():
             t.zero_grad()
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` (float32 or float64) in place and
+        return the module."""
+        if np.dtype(dtype) not in FLOAT_DTYPES:
+            raise ContractError(f"parameters must be float32 or float64, got {np.dtype(dtype)}")
+        for t in self.parameters():
+            t.data = t.data.astype(dtype, copy=False)
+        return self
+
 
 class Linear(Module):
     """Affine map over the last axis: y = x @ W + b, W stored [d_in, d_out]."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(d_in)
-        self.weight = _uniform(rng, (d_in, d_out), bound, dtype)
-        self.bias = _uniform(rng, (d_out,), bound, dtype)
+        self.weight = _uniform(rng, (d_in, d_out), bound)
+        self.bias = _uniform(rng, (d_out,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
         return add_bias(matmul(x, self.weight), self.bias)
@@ -160,9 +167,9 @@ class LayerNorm(Module):
 
     EPS = 1e-12
 
-    def __init__(self, dim: int, dtype=np.float32):
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+    def __init__(self, dim: int):
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.gamma.shape[0]:
@@ -266,14 +273,13 @@ class DepthwiseConv1d(Module):
     The kernel width must be odd so padding is symmetric.
     """
 
-    def __init__(self, channels: int, kernel: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, channels: int, kernel: int, rng: np.random.Generator):
         (kernel,) = check_kernels((kernel,))
         self.kernel = kernel
         self.channels = channels
         bound = 1.0 / math.sqrt(kernel)
-        self.weight = _uniform(rng, (channels, kernel), bound, dtype)
-        self.bias = _uniform(rng, (channels,), bound, dtype)
+        self.weight = _uniform(rng, (channels, kernel), bound)
+        self.bias = _uniform(rng, (channels,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.channels:
@@ -290,7 +296,7 @@ class GroupedConv1d(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 groups: int, rng: np.random.Generator, dtype=np.float32):
+                 groups: int, rng: np.random.Generator):
         (kernel,) = check_kernels((kernel,))
         if groups < 1 or in_channels % groups or out_channels % groups:
             raise ConfigError(
@@ -299,8 +305,8 @@ class GroupedConv1d(Module):
         ipg = in_channels // groups
         opg = out_channels // groups
         bound = 1.0 / math.sqrt(ipg * kernel)
-        self.weight = _uniform(rng, (groups, opg, ipg, kernel), bound, dtype)
-        self.bias = _uniform(rng, (out_channels,), bound, dtype)
+        self.weight = _uniform(rng, (groups, opg, ipg, kernel), bound)
+        self.bias = _uniform(rng, (out_channels,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_channels:
@@ -317,12 +323,11 @@ class Conv2dDown(Module):
     KERNEL = 3
     STRIDE = 2
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         k = self.KERNEL
         bound = 1.0 / math.sqrt(in_channels * k * k)
-        self.weight = _uniform(rng, (in_channels * k * k, out_channels), bound, dtype)
-        self.bias = _uniform(rng, (out_channels,), bound, dtype)
+        self.weight = _uniform(rng, (in_channels * k * k, out_channels), bound)
+        self.bias = _uniform(rng, (out_channels,), bound)
         self.in_channels = in_channels
         self.out_channels = out_channels
 
@@ -362,10 +367,9 @@ class Conv2dDown(Module):
 class FeedForward(Module):
     """Two-layer position-wise network: expand, swish, project back."""
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
-                 dropout_p: float = 0.0, dtype=np.float32):
-        self.up = Linear(dim, hidden, rng, dtype=dtype)
-        self.down = Linear(hidden, dim, rng, dtype=dtype)
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dropout_p: float = 0.0):
+        self.up = Linear(dim, hidden, rng)
+        self.down = Linear(hidden, dim, rng)
         self.dropout_p = dropout_p
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
@@ -374,7 +378,7 @@ class FeedForward(Module):
         return self.down(h)
 
 
-def sinusoid_table(length: int, dim: int, dtype=np.float32) -> np.ndarray:
+def sinusoid_table(length: int, dim: int) -> np.ndarray:
     """Classic interleaved sine/cosine position table, shape [length, dim]."""
     if dim % 2:
         raise ConfigError(f"positional table needs an even dim, got {dim}")
@@ -383,7 +387,7 @@ def sinusoid_table(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     table = np.empty((length, dim), dtype=np.float64)
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq)
-    return table.astype(dtype)
+    return table
 
 
 class Subsampler(Module):
@@ -393,15 +397,14 @@ class Subsampler(Module):
     The shortest admissible input is 7 frames.
     """
 
-    def __init__(self, n_mels: int, dim: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, n_mels: int, dim: int, rng: np.random.Generator):
         self.n_mels = n_mels
         self.dim = dim
-        self.conv1 = Conv2dDown(1, dim, rng, dtype=dtype)
-        self.conv2 = Conv2dDown(dim, dim, rng, dtype=dtype)
+        self.conv1 = Conv2dDown(1, dim, rng)
+        self.conv2 = Conv2dDown(dim, dim, rng)
         f_out = Conv2dDown.out_len(Conv2dDown.out_len(n_mels))
         self.f_out = f_out
-        self.proj = Linear(f_out * dim, dim, rng, dtype=dtype)
+        self.proj = Linear(f_out * dim, dim, rng)
 
     def out_len(self, length: int) -> int:
         return Conv2dDown.out_len(Conv2dDown.out_len(length))

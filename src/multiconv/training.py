@@ -183,7 +183,6 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
     shuffle_ss, dropout_ss = root_ss.spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
-    use_dropout = model.cfg.dropout > 0.0
 
     opt = Adam(model.parameters(), lr=tcfg.lr, beta1=tcfg.beta1,
                beta2=tcfg.beta2, eps=tcfg.eps)
@@ -240,8 +239,7 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
             utt = train_utts[idx]
             tape = Tape()
             with tape:
-                logits = model(Tensor(utt.feats),
-                               rng=dropout_rng if use_dropout else None)
+                logits = model(Tensor(utt.feats), rng=dropout_rng)
                 loss, feasible = ctc_loss(logits, utt.tokens)
                 if not feasible:
                     n_infeasible += 1

@@ -8,6 +8,7 @@ the assertions; a red line here means the property genuinely failed.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -73,7 +74,7 @@ def toy_runs(corpus):
     runs = {}
     total_seconds = gen_seconds
     for name, block, fusion in recipes:
-        model = build_model(toy_cfg(block, fusion), seed=0)
+        model = build_model(dataclasses.replace(toy_cfg(block, fusion), seed=0))
         # stop at half the loosest threshold so passes carry real margin
         tcfg = TrainConfig(seed=0, steps=2000, batch_size=16, lr=1e-3,
                            eval_every=50, target_ter=0.05)
@@ -99,8 +100,7 @@ def test_criterion_2_single_kernel_reduction(capsys):
     worst = 0.0
     for kernel in (3, 7, 15, 31):
         n_frames = int(rng.integers(2, 17))
-        multi = Mcsgu(48, (kernel,), FusionKind.SUM,
-                      np.random.default_rng(5), dtype=np.float64)
+        multi = Mcsgu(48, (kernel,), FusionKind.SUM, np.random.default_rng(5))
         multi.norm.gamma.data = rng.normal(size=24)
         multi.norm.beta.data = rng.normal(size=24)
         a = rng.normal(size=(n_frames, 48))
@@ -120,10 +120,8 @@ def test_criterion_3_fusion_identities(capsys):
 
     # (a) the gate projection starts at zero, so the weighted mixture is the
     # uniform one: weighted output == sum output / P
-    weighted = Mcsgu(48, kernels, FusionKind.WEIGHTED,
-                     np.random.default_rng(31), dtype=np.float64)
-    summed = Mcsgu(48, kernels, FusionKind.SUM,
-                   np.random.default_rng(31), dtype=np.float64)
+    weighted = Mcsgu(48, kernels, FusionKind.WEIGHTED, np.random.default_rng(31))
+    summed = Mcsgu(48, kernels, FusionKind.SUM, np.random.default_rng(31))
     for ours, theirs in zip(weighted.branches, summed.branches):
         assert np.array_equal(ours.weight.data, theirs.weight.data)
     a = rng.normal(size=(10, 48))
@@ -132,10 +130,8 @@ def test_criterion_3_fusion_identities(capsys):
 
     # (b) a delta final kernel makes the trailing depthwise conv the
     # identity, collapsing depth fusion onto concat bitwise
-    depth = Mcsgu(48, kernels, FusionKind.DEPTH,
-                  np.random.default_rng(32), dtype=np.float64)
-    concat = Mcsgu(48, kernels, FusionKind.CONCAT,
-                   np.random.default_rng(32), dtype=np.float64)
+    depth = Mcsgu(48, kernels, FusionKind.DEPTH, np.random.default_rng(32))
+    concat = Mcsgu(48, kernels, FusionKind.CONCAT, np.random.default_rng(32))
     depth.final_conv.weight.data[:] = 0.0
     depth.final_conv.weight.data[:, depth.final_conv.kernel // 2] = 1.0
     depth.final_conv.bias.data[:] = 0.0
@@ -148,7 +144,7 @@ def test_criterion_3_fusion_identities(capsys):
     for n_kernels in (2, 4):
         ks = kernels[:n_kernels]
         for fusion in (FusionKind.CONCAT, FusionKind.DEPTH):
-            unit = Mcsgu(48, ks, fusion, np.random.default_rng(33), dtype=np.float64)
+            unit = Mcsgu(48, ks, fusion, np.random.default_rng(33))
             if unit.final_conv is not None:
                 unit.final_conv.bias.data[:] = 0.0
             x = rng.normal(size=(8, 48))
@@ -274,7 +270,7 @@ def test_criterion_7_diagonality(toy_runs, corpus, capsys):
 
 def test_criterion_8_gate_importance(toy_runs, corpus, capsys):
     _, dev, _ = corpus
-    fresh = build_model(toy_cfg("multiconv", "weighted"), seed=1)
+    fresh = build_model(dataclasses.replace(toy_cfg("multiconv", "weighted"), seed=1))
     start = kernel_importance(fresh, dev, max_utts=4)
     uniform_exact = bool(np.array_equal(start, np.full_like(start, 0.25)))
 
@@ -329,9 +325,9 @@ def test_criterion_9_determinism_and_persistence(corpus, tmp_path, capsys):
     save_arrays(tmp_path / "w.mckpt", [("w", weird)])
     bits_ok = load_arrays(tmp_path / "w.mckpt")["w"].tobytes() == weird.tobytes()
 
-    restored = build_model(cfg, seed=999)
+    restored = build_model(dataclasses.replace(cfg, seed=999))
     load_model(paths[0] / "model.mckpt", restored)
-    trained_model = build_model(cfg, seed=tcfg.seed)
+    trained_model = build_model(dataclasses.replace(cfg, seed=tcfg.seed))
     load_model(paths[1] / "model.mckpt", trained_model)
     x = Tensor(train[0].feats)
     model_ok = bool(np.array_equal(restored(x).data, trained_model(x).data))

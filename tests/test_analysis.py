@@ -1,5 +1,7 @@
 """Diagnostics: diagonality scores, kernel gates, parameter accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_diagonality_monotone_in_mass_distance():
 
 def test_layer_head_report_shape_and_range():
     cfg = tiny_cfg()
-    model = build_model(cfg, seed=3)
+    model = build_model(dataclasses.replace(cfg, seed=3))
     report = diagonality_by_layer_head(model, make_utts(3))
     assert report.shape == (cfg.layers, cfg.heads)
     assert np.all(report >= 0.0) and np.all(report <= 1.0)
@@ -80,7 +82,7 @@ def test_layer_head_report_shape_and_range():
 
 def test_layer_head_report_is_mean_over_utterances():
     cfg = tiny_cfg()
-    model = build_model(cfg, seed=3)
+    model = build_model(dataclasses.replace(cfg, seed=3))
     utts = make_utts(2)
     separate = [diagonality_by_layer_head(model, [u]) for u in utts]
     combined = diagonality_by_layer_head(model, utts)
@@ -88,14 +90,14 @@ def test_layer_head_report_is_mean_over_utterances():
 
 
 def test_layer_head_report_needs_utterances():
-    model = build_model(tiny_cfg(), seed=3)
+    model = build_model(dataclasses.replace(tiny_cfg(), seed=3))
     with pytest.raises(ContractError):
         diagonality_by_layer_head(model, [])
 
 
 def test_max_utts_truncates():
     cfg = tiny_cfg()
-    model = build_model(cfg, seed=3)
+    model = build_model(dataclasses.replace(cfg, seed=3))
     utts = make_utts(3)
     a = diagonality_by_layer_head(model, utts, max_utts=2)
     b = diagonality_by_layer_head(model, utts[:2])
@@ -117,7 +119,7 @@ def test_diagonality_csv_format():
 def test_untrained_gate_reports_uniform_mixture():
     # the gate projection starts at zero, so every frame mixes uniformly
     cfg = tiny_cfg(kernels=(3, 5, 7, 9))
-    model = build_model(cfg, seed=4)
+    model = build_model(dataclasses.replace(cfg, seed=4))
     imp = kernel_importance(model, make_utts(2))
     assert imp.shape == (cfg.layers, 4)
     assert np.array_equal(imp, np.full((cfg.layers, 4), 0.25))
@@ -125,7 +127,7 @@ def test_untrained_gate_reports_uniform_mixture():
 
 def test_importance_rows_sum_to_one_after_perturbation():
     cfg = tiny_cfg()
-    model = build_model(cfg, seed=4)
+    model = build_model(dataclasses.replace(cfg, seed=4))
     for layer in model.encoder.layers:
         gate = layer.conv.unit.gate
         gate.weight.data += RNG.normal(size=gate.weight.data.shape).astype(np.float32)
@@ -139,7 +141,7 @@ def test_capture_entry_i_comes_from_layer_i():
     # only layer 1 is skewed: its gate weight is zero, so every frame mixes
     # by softmax(bias), and with zero query/key weights its attention gives
     # every key the same score; layer 0 keeps its initial weights
-    model = build_model(tiny_cfg(), seed=3)
+    model = build_model(dataclasses.replace(tiny_cfg(), seed=3))
     skewed_layer = model.encoder.layers[1]
     bias = np.array([2.0, -1.0], dtype=np.float32)
     skewed_layer.conv.unit.gate.bias.data[:] = bias
@@ -175,13 +177,13 @@ def test_capture_entry_i_comes_from_layer_i():
 def test_importance_requires_weighted_fusion():
     for bad in (tiny_cfg(fusion="sum"), tiny_cfg(fusion="concat"),
                 tiny_cfg(conv_block="csgu", fusion="weighted")):
-        model = build_model(bad, seed=4)
+        model = build_model(dataclasses.replace(bad, seed=4))
         with pytest.raises(ContractError):
             kernel_importance(model, make_utts(1))
 
 
 def test_importance_needs_utterances():
-    model = build_model(tiny_cfg(), seed=4)
+    model = build_model(dataclasses.replace(tiny_cfg(), seed=4))
     with pytest.raises(ContractError):
         kernel_importance(model, [])
 
@@ -217,7 +219,7 @@ def test_breakdown_cross_checks_fusion_formula():
 
 def test_breakdown_total_matches_live_model():
     cfg = tiny_cfg(conv_block="conformer")
-    model = build_model(cfg, seed=0)
+    model = build_model(dataclasses.replace(cfg, seed=0))
     assert param_breakdown(cfg)["total"] == model.param_count()
     assert "conv_fusion_part" not in param_breakdown(cfg)["per_layer"]
 

@@ -25,7 +25,7 @@ def _identity_projections(att: MultiHeadAttention) -> None:
 
 
 def test_two_frame_hand_example():
-    att = MultiHeadAttention(2, 1, np.random.default_rng(0), dtype=np.float64)
+    att = MultiHeadAttention(2, 1, np.random.default_rng(0))
     _identity_projections(att)
     x = np.eye(2)
     maps: list[np.ndarray] = []
@@ -39,7 +39,7 @@ def test_two_frame_hand_example():
 
 
 def test_weights_match_reference_softmax():
-    att = MultiHeadAttention(8, 2, np.random.default_rng(1), dtype=np.float64)
+    att = MultiHeadAttention(8, 2, np.random.default_rng(1))
     x = RNG.normal(size=(6, 8))
     maps: list[np.ndarray] = []
     att(Tensor(x), capture=maps)
@@ -54,7 +54,7 @@ def test_weights_match_reference_softmax():
 
 
 def test_capture_shape_and_row_stochastic():
-    att = MultiHeadAttention(6, 3, np.random.default_rng(2), dtype=np.float64)
+    att = MultiHeadAttention(6, 3, np.random.default_rng(2))
     maps: list[np.ndarray] = []
     out = att(Tensor(RNG.normal(size=(5, 6))), capture=maps)
     assert out.shape == (5, 6)
@@ -65,7 +65,7 @@ def test_capture_shape_and_row_stochastic():
 
 
 def test_single_frame_attends_to_itself():
-    att = MultiHeadAttention(4, 2, np.random.default_rng(3), dtype=np.float64)
+    att = MultiHeadAttention(4, 2, np.random.default_rng(3))
     maps: list[np.ndarray] = []
     att(Tensor(RNG.normal(size=(1, 4))), capture=maps)
     assert np.array_equal(maps[0], np.ones((2, 1, 1)))
@@ -74,7 +74,7 @@ def test_single_frame_attends_to_itself():
 def test_permutation_equivariance():
     # bare self-attention has no positional signal: permuting the frames
     # permutes the output rows the same way
-    att = MultiHeadAttention(6, 2, np.random.default_rng(4), dtype=np.float64)
+    att = MultiHeadAttention(6, 2, np.random.default_rng(4))
     x = RNG.normal(size=(7, 6))
     perm = np.random.default_rng(5).permutation(7)
     direct = att(Tensor(x[perm])).data
@@ -91,6 +91,6 @@ def test_validation():
 
 
 def test_float32_output():
-    att = MultiHeadAttention(8, 2, np.random.default_rng(6))
+    att = MultiHeadAttention(8, 2, np.random.default_rng(6)).astype(np.float32)
     out = att(Tensor(RNG.normal(size=(4, 8)).astype(np.float32)))
     assert out.dtype == np.float32

@@ -1,5 +1,7 @@
 """Binary checkpoint format: bit-exact round trips and corruption detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,11 @@ def test_truncated_payload_detected(tmp_path):
 
 def test_model_round_trip_restores_outputs(tmp_path):
     cfg = tiny_cfg()
-    src = build_model(cfg, seed=7)
+    src = build_model(dataclasses.replace(cfg, seed=7))
     path = tmp_path / "model.mckpt"
     save_model(path, src)
 
-    dst = build_model(cfg, seed=8)  # different init on purpose
+    dst = build_model(dataclasses.replace(cfg, seed=8))  # different init on purpose
     x = RNG.normal(size=(20, cfg.n_mels)).astype(np.float32)
     before = dst(Tensor(x)).data
     load_model(path, dst)
@@ -107,8 +109,8 @@ def test_model_round_trip_restores_outputs(tmp_path):
 
 def test_model_load_checks_names(tmp_path):
     path = tmp_path / "model.mckpt"
-    save_model(path, build_model(tiny_cfg(), seed=0))
-    other = build_model(tiny_cfg(layers=2), seed=0)
+    save_model(path, build_model(dataclasses.replace(tiny_cfg(), seed=0)))
+    other = build_model(dataclasses.replace(tiny_cfg(layers=2), seed=0))
     with pytest.raises(IntegrityError, match="names differ"):
         load_model(path, other)
 
@@ -116,14 +118,14 @@ def test_model_load_checks_names(tmp_path):
 def test_model_load_checks_shapes(tmp_path):
     cfg = tiny_cfg()
     path = tmp_path / "model.mckpt"
-    model = build_model(cfg, seed=0)
+    model = build_model(dataclasses.replace(cfg, seed=0))
     save_model(path, model)
     mutated = load_arrays(path)
     first = next(iter(mutated))
     pairs = [(n, a if n != first else a.reshape(a.shape[::-1]))
              for n, a in mutated.items()]
     save_arrays(path, pairs)
-    target = build_model(cfg, seed=0)
+    target = build_model(dataclasses.replace(cfg, seed=0))
     with pytest.raises(IntegrityError, match="shape"):
         load_model(path, target)
 
@@ -131,11 +133,11 @@ def test_model_load_checks_shapes(tmp_path):
 def test_model_load_checks_dtypes(tmp_path):
     cfg = tiny_cfg()
     path = tmp_path / "model.mckpt"
-    save_model(path, build_model(cfg, seed=0))
+    save_model(path, build_model(dataclasses.replace(cfg, seed=0)))
     pairs = [(n, a.astype(np.float64)) for n, a in load_arrays(path).items()]
     save_arrays(path, pairs)
     with pytest.raises(IntegrityError, match="dtype"):
-        load_model(path, build_model(cfg, seed=0))
+        load_model(path, build_model(dataclasses.replace(cfg, seed=0)))
 
 
 def test_empty_checkpoint_round_trips(tmp_path):

@@ -32,8 +32,8 @@ from multiconv.layers import softmax
 RNG = np.random.default_rng(55)
 
 
-def _unit(fusion, d_inter=24, kernels=(3, 5), seed=0, dtype=np.float64):
-    return Mcsgu(d_inter, kernels, fusion, np.random.default_rng(seed), dtype=dtype)
+def _unit(fusion, d_inter=24, kernels=(3, 5), seed=0):
+    return Mcsgu(d_inter, kernels, fusion, np.random.default_rng(seed))
 
 
 def test_parse_fusion():
@@ -193,7 +193,7 @@ def _csgu_block_loops(x, p):
 
 @pytest.mark.parametrize("t_len, kernel", [(1, 3), (6, 7), (11, 15)])
 def test_csgu_block_forward_and_gradients_match_loop_oracle(t_len, kernel):
-    blk = CsguBlock(6, 12, kernel, np.random.default_rng(kernel), dtype=np.float64)
+    blk = CsguBlock(6, 12, kernel, np.random.default_rng(kernel))
     rng = np.random.default_rng(t_len)
     blk.unit.norm.gamma.data = rng.normal(size=6)
     blk.unit.norm.beta.data = rng.normal(size=6)
@@ -239,8 +239,7 @@ def test_fusion_param_count_formulas_by_hand():
 
 def test_multiconv_block_shapes_and_gate_capture():
     for fusion in FusionKind:
-        block = MultiConvBlock(10, 24, (3, 5), fusion, np.random.default_rng(1),
-                               dtype=np.float64)
+        block = MultiConvBlock(10, 24, (3, 5), fusion, np.random.default_rng(1))
         gates: list[np.ndarray] = []
         out = block(Tensor(RNG.normal(size=(7, 10))), gate_capture=gates)
         assert out.shape == (7, 10)
@@ -249,14 +248,14 @@ def test_multiconv_block_shapes_and_gate_capture():
 
 def test_csgu_block_and_conformer_block_shapes():
     x = Tensor(RNG.normal(size=(9, 10)))
-    blk = CsguBlock(10, 24, 7, np.random.default_rng(2), dtype=np.float64)
+    blk = CsguBlock(10, 24, 7, np.random.default_rng(2))
     assert blk(x).shape == (9, 10)
-    conf = ConformerConvBlock(10, 7, np.random.default_rng(3), dtype=np.float64)
+    conf = ConformerConvBlock(10, 7, np.random.default_rng(3))
     assert conf(x).shape == (9, 10)
 
 
 def test_conformer_block_single_frame():
-    conf = ConformerConvBlock(6, 5, np.random.default_rng(4), dtype=np.float64)
+    conf = ConformerConvBlock(6, 5, np.random.default_rng(4))
     assert conf(Tensor(RNG.normal(size=(1, 6)))).shape == (1, 6)
 
 

@@ -160,6 +160,24 @@ def test_corrupt_manifest_raises_integrity_error(corpus, corrupt):
         load_split(root, "dev")
 
 
+def _blank_line(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], ""] + lines[1:]) + "\n")
+
+
+def _non_integer_token(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0] + " x"] + lines[1:]) + "\n")
+
+
+@pytest.mark.parametrize("corrupt", [_non_utf8, _blank_line, _non_integer_token])
+def test_corrupt_transcripts_raise_integrity_error(corpus, corrupt):
+    _, root = corpus
+    corrupt(root / "dev.txt")
+    with pytest.raises(IntegrityError, match="dev.txt"):
+        load_split(root, "dev")
+
+
 def test_transcript_mismatch_detected(corpus):
     _, root = corpus
     lines = (root / "dev.txt").read_text().splitlines()

@@ -1,5 +1,7 @@
 """Encoder stack assembly, captures, determinism, and the baseline swap."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def tiny_cfg(**kw):
 
 
 def test_output_shape_and_dtype():
-    enc = Encoder(tiny_cfg(), np.random.default_rng(0))
+    enc = Encoder(tiny_cfg(), np.random.default_rng(0)).astype(np.float32)
     feats = RNG.normal(size=(25, 9)).astype(np.float32)
     out = enc(Tensor(feats))
     assert out.shape == (5, 12)  # 25 -> 12 -> 5
@@ -33,7 +35,7 @@ def test_output_shape_and_dtype():
 ])
 def test_all_block_variants_run(block, fusion):
     cfg = tiny_cfg(conv_block=block, fusion=fusion)
-    model = build_model(cfg, seed=0)
+    model = build_model(dataclasses.replace(cfg, seed=0))
     logits = model(Tensor(RNG.normal(size=(16, 9)).astype(np.float32)))
     assert logits.shape == (3, cfg.vocab + 1)
     assert np.isfinite(logits.data).all()
@@ -41,7 +43,7 @@ def test_all_block_variants_run(block, fusion):
 
 def test_captures_collect_per_layer():
     cfg = tiny_cfg(fusion="weighted", layers=3)
-    model = build_model(cfg, seed=1)
+    model = build_model(dataclasses.replace(cfg, seed=1))
     captures = EncoderCaptures()
     model(Tensor(RNG.normal(size=(20, 9)).astype(np.float32)), captures=captures)
     assert len(captures.attention) == len(captures.gates) == 3
@@ -50,7 +52,7 @@ def test_captures_collect_per_layer():
 
 
 def test_no_gate_captures_for_other_fusions():
-    model = build_model(tiny_cfg(fusion="concat"), seed=1)
+    model = build_model(dataclasses.replace(tiny_cfg(fusion="concat"), seed=1))
     captures = EncoderCaptures()
     model(Tensor(RNG.normal(size=(16, 9)).astype(np.float32)), captures=captures)
     assert captures.gates == []
@@ -59,10 +61,10 @@ def test_no_gate_captures_for_other_fusions():
 
 def test_same_seed_same_output():
     feats = RNG.normal(size=(18, 9)).astype(np.float32)
-    a = build_model(tiny_cfg(), seed=5)(Tensor(feats)).data
-    b = build_model(tiny_cfg(), seed=5)(Tensor(feats)).data
+    a = build_model(dataclasses.replace(tiny_cfg(), seed=5))(Tensor(feats)).data
+    b = build_model(dataclasses.replace(tiny_cfg(), seed=5))(Tensor(feats)).data
     assert np.array_equal(a, b)
-    c = build_model(tiny_cfg(), seed=6)(Tensor(feats)).data
+    c = build_model(dataclasses.replace(tiny_cfg(), seed=6))(Tensor(feats)).data
     assert not np.array_equal(a, c)
 
 
@@ -70,9 +72,10 @@ def test_single_kernel_sum_encoder_equals_csgu_encoder():
     # same seed and a single kernel: parameter draws align one-to-one, and
     # the multi-kernel block must follow the exact same arithmetic path
     kernels = (7,)
-    multi = build_model(tiny_cfg(conv_block="multiconv", fusion="sum",
-                                 kernels=kernels), seed=9)
-    plain = build_model(tiny_cfg(conv_block="csgu", kernels=kernels), seed=9)
+    multi = build_model(dataclasses.replace(
+        tiny_cfg(conv_block="multiconv", fusion="sum", kernels=kernels), seed=9))
+    plain = build_model(dataclasses.replace(
+        tiny_cfg(conv_block="csgu", kernels=kernels), seed=9))
     for (name_m, pm), (name_p, pp) in zip(multi.named_parameters(),
                                           plain.named_parameters()):
         assert pm.data.shape == pp.data.shape, (name_m, name_p)
@@ -109,8 +112,27 @@ def test_config_validation_at_build():
                 np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("block,fusion", [
+    ("multiconv", "weighted"), ("multiconv", "depth"), ("conformer", "depth"),
+])
+def test_float32_model_is_its_float64_twin_cast(block, fusion):
+    # one draw decides both precisions: a float32 build casts the very
+    # float64 values that a float64 build keeps
+    cfg = tiny_cfg(conv_block=block, fusion=fusion)
+    narrow = build_model(cfg)
+    wide = build_model(cfg, dtype=np.float64)
+    for (name_n, pn), (name_w, pw) in zip(narrow.named_parameters(),
+                                          wide.named_parameters(), strict=True):
+        assert name_n == name_w
+        assert pn.dtype == np.float32 and pw.dtype == np.float64
+        assert np.array_equal(pn.data, pw.data.astype(np.float32))
+    feats = Tensor(RNG.normal(size=(20, 9)).astype(np.float32))
+    wide.astype(np.float32)
+    assert np.array_equal(narrow(feats).data, wide(feats).data)
+
+
 def test_param_count_is_sum_of_parts():
-    model = build_model(tiny_cfg(), seed=0)
+    model = build_model(dataclasses.replace(tiny_cfg(), seed=0))
     total = sum(p.size for p in model.parameters())
     assert model.param_count() == total
     assert model.param_count() == (model.encoder.param_count()
@@ -119,15 +141,16 @@ def test_param_count_is_sum_of_parts():
 
 def test_head_maps_to_vocab_plus_blank():
     cfg = tiny_cfg(vocab=6)
-    model = build_model(cfg, seed=0)
+    model = build_model(dataclasses.replace(cfg, seed=0))
     logits = model(Tensor(RNG.normal(size=(16, 9)).astype(np.float32)))
     assert logits.shape[1] == 7
 
 
 def test_parameter_names_are_unique_and_stable():
-    model = build_model(tiny_cfg(), seed=0)
+    model = build_model(dataclasses.replace(tiny_cfg(), seed=0))
     names = [n for n, _ in model.named_parameters()]
     assert len(names) == len(set(names))
     assert names[0].startswith("encoder.subsampler.")
     assert any(n.startswith("encoder.layers.1.") for n in names)
-    assert names == [n for n, _ in build_model(tiny_cfg(), seed=1).named_parameters()]
+    other = build_model(dataclasses.replace(tiny_cfg(), seed=1))
+    assert names == [n for n, _ in other.named_parameters()]

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
-from multiconv.errors import ConfigError, ShapeError
+from multiconv.errors import ConfigError, ContractError, ShapeError
 from multiconv.layers import (
     Conv2dDown,
     DepthwiseConv1d,
@@ -106,14 +106,27 @@ def test_dropout_is_inverted_and_masks():
 
 
 def test_linear_matches_numpy_affine():
-    lin = Linear(5, 3, np.random.default_rng(0), dtype=np.float64)
+    lin = Linear(5, 3, np.random.default_rng(0))
     x = RNG.normal(size=(7, 5))
     assert np.allclose(lin(Tensor(x)).data, x @ lin.weight.data + lin.bias.data,
                        atol=1e-14)
 
 
+def test_astype_casts_parameters_in_place():
+    lin = Linear(5, 3, np.random.default_rng(0))
+    weight = lin.weight
+    drawn = weight.data.copy()
+    assert drawn.dtype == np.float64  # modules are built in float64
+    assert lin.astype(np.float32) is lin
+    assert lin.weight is weight
+    assert all(p.dtype == np.float32 for p in lin.parameters())
+    assert np.array_equal(weight.data, drawn.astype(np.float32))
+    with pytest.raises(ContractError):
+        lin.astype(np.int64)
+
+
 def test_layer_norm_normalizes_then_scales():
-    norm = LayerNorm(6, dtype=np.float64)
+    norm = LayerNorm(6)
     x = RNG.normal(size=(9, 6)) * 4 + 2
     y = norm(Tensor(x)).data
     assert np.allclose(y.mean(axis=1), 0.0, atol=1e-12)
@@ -128,7 +141,7 @@ def test_layer_norm_normalizes_then_scales():
 
 @pytest.mark.parametrize("kernel", [1, 3, 7])
 def test_depthwise_conv_matches_loop_oracle(kernel):
-    conv = DepthwiseConv1d(5, kernel, np.random.default_rng(2), dtype=np.float64)
+    conv = DepthwiseConv1d(5, kernel, np.random.default_rng(2))
     x = RNG.normal(size=(11, 5))
     expected = oracles.depthwise_conv_loops(x, conv.weight.data, conv.bias.data)
     assert np.allclose(conv(Tensor(x)).data, expected, atol=1e-12)
@@ -150,8 +163,7 @@ def test_depthwise_rejects_even_kernel_and_bad_shapes():
     (4, 8, 2, 3),   # more outputs than inputs
 ])
 def test_grouped_conv_matches_loop_oracle(cin, cout, groups, kernel):
-    conv = GroupedConv1d(cin, cout, kernel, groups, np.random.default_rng(5),
-                         dtype=np.float64)
+    conv = GroupedConv1d(cin, cout, kernel, groups, np.random.default_rng(5))
     x = RNG.normal(size=(9, cin))
     expected = oracles.grouped_conv_loops(x, conv.weight.data, conv.bias.data, groups)
     assert np.allclose(conv(Tensor(x)).data, expected, atol=1e-12)
@@ -206,7 +218,7 @@ def test_grouped_conv_validation():
 
 
 def test_conv2d_matches_loop_oracle():
-    conv = Conv2dDown(2, 3, np.random.default_rng(8), dtype=np.float64)
+    conv = Conv2dDown(2, 3, np.random.default_rng(8))
     x = RNG.normal(size=(9, 11, 2))
     expected = oracles.conv2d_stride2_loops(x, conv.weight.data, conv.bias.data)
     got = conv(Tensor(x)).data
@@ -219,7 +231,7 @@ def test_conv2d_matches_loop_oracle():
 @pytest.mark.parametrize("length,expected", [(7, 1), (8, 1), (11, 2), (16, 3),
                                              (50, 11), (100, 24)])
 def test_subsampler_length_formula(length, expected):
-    sub = Subsampler(80, 8, np.random.default_rng(1))
+    sub = Subsampler(80, 8, np.random.default_rng(1)).astype(np.float32)
     assert sub.out_len(length) == expected
     out = sub(Tensor(RNG.normal(size=(length, 80)).astype(np.float32)))
     assert out.shape == (expected, 8)
@@ -235,7 +247,7 @@ def test_subsampler_rejects_short_input():
 
 
 def test_sinusoid_table_values():
-    table = sinusoid_table(50, 8, dtype=np.float64)
+    table = sinusoid_table(50, 8)
     assert np.allclose(table[0, 0::2], 0.0)
     assert np.allclose(table[0, 1::2], 1.0)
     # column pair i oscillates at frequency 10000^(-2i/d)
@@ -250,7 +262,7 @@ def test_sinusoid_table_values():
 
 def test_feed_forward_shapes_and_activation_choice():
     # the activation is swish: down(up(x) * sigmoid(up(x)))
-    ffn = FeedForward(6, 24, np.random.default_rng(0), dtype=np.float64)
+    ffn = FeedForward(6, 24, np.random.default_rng(0))
     x = RNG.normal(size=(5, 6))
     out = ffn(Tensor(x))
     assert out.shape == (5, 6)
@@ -279,10 +291,10 @@ def test_float32_flows_through_every_layer():
     rng = np.random.default_rng(0)
     x = Tensor(RNG.normal(size=(9, 6)).astype(np.float32), requires_grad=True)
     stages = [
-        Linear(6, 6, rng),
-        LayerNorm(6),
-        DepthwiseConv1d(6, 3, rng),
-        GroupedConv1d(6, 6, 3, 2, rng),
+        Linear(6, 6, rng).astype(np.float32),
+        LayerNorm(6).astype(np.float32),
+        DepthwiseConv1d(6, 3, rng).astype(np.float32),
+        GroupedConv1d(6, 6, 3, 2, rng).astype(np.float32),
     ]
     with Tape():
         y = x

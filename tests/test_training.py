@@ -1,5 +1,6 @@
 """Optimizer math, gradient clipping, evaluation, and the training loop."""
 
+import dataclasses
 import json
 import math
 
@@ -163,7 +164,7 @@ def small_run(tmp_path, seed=0, steps=6, out_dir=None, **cfg_over):
         generate_dataset(SPEC, data_dir)
     train = load_split(data_dir, "train")
     dev = load_split(data_dir, "dev")
-    model = build_model(ECFG, seed=seed)
+    model = build_model(dataclasses.replace(ECFG, seed=seed))
     targs = dict(seed=seed, steps=steps, batch_size=4, lr=2e-3, eval_every=3)
     targs.update(cfg_over)
     result = train_model(model, train, dev, TrainConfig(**targs), out_dir=out_dir)
@@ -232,7 +233,7 @@ def test_batch_size_larger_than_corpus_rejected(tmp_path):
 def test_zero_lr_freezes_parameters(tmp_path):
     # checkpoint bytes before and after training must agree exactly
     model, result, _ = small_run(tmp_path, lr=0.0, steps=7)
-    fresh = build_model(ECFG, seed=0)
+    fresh = build_model(dataclasses.replace(ECFG, seed=0))
     save_model(tmp_path / "trained.mckpt", model)
     save_model(tmp_path / "fresh.mckpt", fresh)
     assert (tmp_path / "trained.mckpt").read_bytes() == (tmp_path / "fresh.mckpt").read_bytes()
@@ -246,7 +247,7 @@ def test_best_dev_checkpoint_is_retained(tmp_path):
     assert result.best_step in {m["step"] for m in result.metrics}
     assert result.best_dev_ter <= result.final_dev_ter
     # the on-disk snapshot is the model from the best evaluation, not the last
-    restored = build_model(ECFG, seed=99)
+    restored = build_model(dataclasses.replace(ECFG, seed=99))
     load_model(out / "model.mckpt", restored)
     assert evaluate(restored, dev).ter == result.best_dev_ter
 
@@ -256,7 +257,7 @@ def test_non_finite_loss_aborts_with_diagnostics(tmp_path):
     generate_dataset(SPEC, data_dir)
     train = load_split(data_dir, "train")
     dev = load_split(data_dir, "dev")
-    model = build_model(ECFG, seed=0)
+    model = build_model(dataclasses.replace(ECFG, seed=0))
     model.head.weight.data.fill(np.nan)
     # the NaN logits are supposed to flow through the loss untouched
     with np.errstate(invalid="ignore"):
@@ -269,5 +270,5 @@ def test_untrained_model_scores_badly(tmp_path):
     data_dir = tmp_path / "data"
     generate_dataset(SPEC, data_dir)
     dev = load_split(data_dir, "dev")
-    model = build_model(ECFG, seed=3)
+    model = build_model(dataclasses.replace(ECFG, seed=3))
     assert evaluate(model, dev).ter > 0.5
