@@ -16,11 +16,12 @@ on every finite and non-finite float pattern.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, IntegrityError
+from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count
 
 MAGIC = b"MCFK"
 VERSION = 1
@@ -59,6 +60,38 @@ def save_arrays(path, named: list[tuple[str, np.ndarray]]) -> None:
             fh.write(chunk)
 
 
+def _read_manifest(path, raw: bytes, payload_size: int):
+    """``[(name, dtype, shape, start, stop), ...]`` from a checkpoint manifest.
+    A manifest that is not UTF-8 JSON, is not a list of entry objects, repeats
+    a name, holds a field of the wrong type or an unknown dtype, or points past
+    the payload raises :class:`IntegrityError`."""
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+        if type(manifest) is not list:
+            raise TypeError(f"expected a list of entries, got {type(manifest).__name__}")
+        entries = []
+        names = set()
+        for e in manifest:
+            name, dtype, shape = e["name"], e["dtype"], e["shape"]
+            if type(name) is not str or name in names:
+                raise ValueError(f"entry name {name!r} is not a unique string")
+            names.add(name)
+            if type(dtype) is not str or dtype not in _DTYPES:
+                raise ValueError(f"entry {name!r} has dtype {dtype!r}")
+            if type(shape) is not list:
+                raise TypeError(f"entry {name!r} has shape {shape!r}")
+            shape = tuple(manifest_count(d) for d in shape)
+            start = manifest_count(e["offset"])
+            stop = start + math.prod(shape) * np.dtype(dtype).itemsize
+            if stop > payload_size:
+                raise ValueError(f"entry {name!r} overruns the payload")
+            entries.append((name, dtype, shape, start, stop))
+        return entries
+    except MANIFEST_ERRORS as exc:
+        raise IntegrityError(
+            f"{path}: not a valid checkpoint manifest ({type(exc).__name__}: {exc})") from None
+
+
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> array dict (insertion-ordered)."""
     blob = Path(path).read_bytes()
@@ -68,22 +101,10 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise IntegrityError(f"{path}: unsupported checkpoint version {version}")
     man_len = int.from_bytes(blob[8:12], "little")
-    manifest = json.loads(blob[12:12 + man_len].decode("utf-8"))
     payload = blob[12 + man_len:]
-    out: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        dtype = entry["dtype"]
-        if dtype not in _DTYPES:
-            raise IntegrityError(f"{path}: entry {entry['name']!r} has dtype {dtype}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        stop = start + count * np.dtype(dtype).itemsize
-        if stop > len(payload):
-            raise IntegrityError(f"{path}: entry {entry['name']!r} overruns the payload")
-        arr = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
-        out[entry["name"]] = arr
-    return out
+    entries = _read_manifest(path, blob[12:12 + man_len], len(payload))
+    return {name: np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
+            for name, dtype, shape, start, stop in entries}
 
 
 def save_model(path, model) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DataSpec
-from .errors import ContractError, IntegrityError
+from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count
 
 SPLITS = ("train", "dev", "test")
 
@@ -109,12 +109,6 @@ def load_spec(data_dir) -> DataSpec:
     return DataSpec.load(Path(data_dir) / "data_spec.json")
 
 
-def _count(value) -> int:
-    if type(value) is not int or value < 0:
-        raise TypeError(f"expected a non-negative integer, got {value!r}")
-    return value
-
-
 def _read_manifest(path: Path):
     """``(n_mels, total_frames, [(id, offset, frames, tokens), ...])`` from a
     split manifest. A manifest that is not UTF-8 JSON, lacks a field, or
@@ -125,10 +119,12 @@ def _read_manifest(path: Path):
         for e in manifest["utterances"]:
             if type(e["id"]) is not str:
                 raise TypeError(f"expected a string id, got {e['id']!r}")
-            entries.append((e["id"], _count(e["offset"]), _count(e["frames"]),
-                            [_count(t) for t in e["tokens"]]))
-        return _count(manifest["n_mels"]), _count(manifest["total_frames"]), entries
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers decoding
+            entries.append((e["id"], manifest_count(e["offset"]),
+                            manifest_count(e["frames"]),
+                            [manifest_count(t) for t in e["tokens"]]))
+        return (manifest_count(manifest["n_mels"]),
+                manifest_count(manifest["total_frames"]), entries)
+    except MANIFEST_ERRORS as exc:
         raise IntegrityError(
             f"{path.name} is not a valid split manifest ({type(exc).__name__}: {exc})") from None
 

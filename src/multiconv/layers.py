@@ -8,6 +8,11 @@ order, so a seed pins the whole model. Parameters are built in float64;
 
 Scalar constants are python floats throughout; numpy float64 scalars would
 silently promote float32 activations under NumPy 2 promotion rules.
+
+The activations' transcendentals branch on the array's dtype. float64 calls
+``scipy.special``. float32 uses vectorised numpy forms, a rational ``erf``
+and a tanh-form ``expit``, each within 1e-6 absolute of float64 scipy;
+scipy runs float32 element by element and is several times slower.
 """
 
 from __future__ import annotations
@@ -25,14 +30,63 @@ from .errors import ConfigError, ContractError, ShapeError
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Eigen's float erf (SpecialFunctionsImpl.h): erf(x) = x * P(x^2) / Q(x^2) on
+# [-4, 4], outside which float32 erf is +-1. Highest degree first.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+# Past |x| = 2.5 the float32 rounding of the rational (up to 4e-7 near +-1)
+# times gelu's factor x would exceed 1e-6, so scipy computes that tail.
+_ERF_TAIL = 2.5
+
 
 # ---------------------------------------------------------------------------
 # activations
 
 
+def _horner(coeffs: tuple[float, ...], x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Polynomial in ``x2`` (coefficients highest degree first), in ``out``."""
+    np.multiply(x2, coeffs[0], out=out)
+    for a in coeffs[1:-1]:
+        out += a
+        out *= x2
+    out += coeffs[-1]
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Error function: scipy in float64; in float32 Eigen's rational form,
+    evaluated in place on three buffers, with scipy for |x| > 2.5."""
+    if x.dtype != np.float32:
+        return special.erf(x)
+    c = np.clip(x, -4.0, 4.0)
+    x2 = c * c
+    p = _horner(_ERF_P, x2, np.empty_like(c))
+    p *= c
+    p /= _horner(_ERF_Q, x2, c)
+    tail = np.flatnonzero(x2 > _ERF_TAIL * _ERF_TAIL)
+    p.flat[tail] = special.erf(x.flat[tail])
+    return p
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid: scipy in float64; 0.5 * tanh(x / 2) + 0.5 in float32."""
+    if x.dtype != np.float32:
+        return special.expit(x)
+    s = x * 0.5
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    phi_cum = 0.5 * (1.0 + special.erf(x.data * INV_SQRT2))
+    phi_cum = _erf(x.data * INV_SQRT2)
+    phi_cum += 1.0
+    phi_cum *= 0.5
     out = Tensor(x.data * phi_cum)
 
     def bwd(g):
@@ -43,7 +97,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = special.expit(x.data)
+    s = _expit(x.data)
     out = Tensor(s)
 
     def bwd(g):
@@ -54,7 +108,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def swish(x: Tensor) -> Tensor:
     """Sigmoid-weighted linear unit x * sigmoid(x)."""
-    s = special.expit(x.data)
+    s = _expit(x.data)
     out = Tensor(x.data * s)
 
     def bwd(g):

@@ -1,6 +1,7 @@
 """Binary checkpoint format: bit-exact round trips and corruption detection."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -86,6 +87,40 @@ def test_truncated_payload_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(IntegrityError, match="overruns"):
+        load_arrays(path)
+
+
+def _entries(edit):
+    """A manifest rewrite that applies ``edit`` to the decoded entry list."""
+    def rewrite(text):
+        entries = json.loads(text)
+        edit(entries)
+        return json.dumps(entries).encode()
+    return rewrite
+
+
+CORRUPT_MANIFESTS = {
+    "truncated": lambda text: text[:-7],
+    "not-utf8": lambda text: b"\xff\xfe" + text[2:],
+    "deeply-nested": lambda text: b"[" * 100_000,  # json raises RecursionError
+    "missing-field": _entries(lambda e: e[1].pop("shape")),
+    "object-at-top-level": lambda text: b'{"entries": ' + text + b"}",
+    "string-offset": _entries(lambda e: e[1].update(offset="16")),
+    "negative-offset": _entries(lambda e: e[0].update(offset=-8)),
+    "negative-dimension": _entries(lambda e: e[0].update(shape=[-1])),
+    "duplicate-name": _entries(lambda e: e[1].update(name="a")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_MANIFESTS))
+def test_corrupt_manifest_raises_integrity_error(tmp_path, case):
+    path = tmp_path / "m.mckpt"
+    save_arrays(path, [("a", np.arange(2.0)), ("b", np.ones((2, 3)))])
+    blob = path.read_bytes()
+    man_len = int.from_bytes(blob[8:12], "little")
+    text = CORRUPT_MANIFESTS[case](blob[12:12 + man_len])
+    path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + man_len:])
+    with pytest.raises(IntegrityError, match="manifest"):
         load_arrays(path)
 
 

@@ -140,6 +140,10 @@ def _non_utf8(path):
     path.write_bytes(b"\xff\xfe" + path.read_bytes())
 
 
+def _deeply_nested(path):
+    path.write_text("[" * 100_000)  # json raises RecursionError
+
+
 def _drop_key(path):
     manifest = json.loads(path.read_text())
     del manifest["total_frames"]
@@ -152,7 +156,8 @@ def _ill_typed(path):
     path.write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _non_utf8, _drop_key, _ill_typed])
+@pytest.mark.parametrize("corrupt", [_truncate, _non_utf8, _drop_key, _ill_typed,
+                                     _deeply_nested])
 def test_corrupt_manifest_raises_integrity_error(corpus, corrupt):
     _, root = corpus
     corrupt(root / "dev.json")

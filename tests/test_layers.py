@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oracles
 from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
 from multiconv.errors import ConfigError, ContractError, ShapeError
 from multiconv.layers import (
+    INV_SQRT2,
     Conv2dDown,
     DepthwiseConv1d,
     FeedForward,
@@ -27,6 +29,7 @@ from multiconv.layers import (
     softmax,
     swish,
 )
+from multiconv.layers import _erf, _expit
 
 RNG = np.random.default_rng(21)
 
@@ -59,6 +62,52 @@ def test_sigmoid_and_swish_values():
     expected = 1.0 / (1.0 + np.exp(-x))
     assert np.allclose(s, expected, atol=1e-15)
     assert np.allclose(swish(Tensor(x)).data, x * expected, atol=1e-15)
+
+
+def _float64_activations(x):
+    """The float64 scipy formulas of erf, expit, gelu, sigmoid and swish."""
+    return {
+        "erf": special.erf(x),
+        "expit": special.expit(x),
+        "gelu": x * (0.5 * (1.0 + special.erf(x * INV_SQRT2))),
+        "sigmoid": special.expit(x),
+        "swish": x * special.expit(x),
+    }
+
+
+def _activations(x):
+    return {
+        "erf": _erf(x),
+        "expit": _expit(x),
+        "gelu": gelu(Tensor(x)).data,
+        "sigmoid": sigmoid(Tensor(x)).data,
+        "swish": swish(Tensor(x)).data,
+    }
+
+
+def test_float32_activations_are_within_1e_6_of_float64_scipy():
+    grid = np.linspace(-8.0, 8.0, 1_000_001, dtype=np.float32)
+    with np.errstate(all="raise"):
+        fast = _activations(grid)
+    exact = _float64_activations(grid.astype(np.float64))
+    special_points = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    with np.errstate(invalid="ignore"):  # gelu and swish at -inf are -inf * 0
+        fast_special = _activations(special_points)
+        exact_special = _float64_activations(special_points.astype(np.float64))
+    for name, ref in exact.items():
+        assert fast[name].dtype == np.float32, name
+        assert np.abs(fast[name] - ref).max() <= 1e-6, name
+        got = fast_special[name].astype(np.float64)
+        # +-0 and +-1 map exactly; inf maps to inf, and nan in gives nan out
+        assert np.array_equal(got, exact_special[name], equal_nan=True), name
+
+
+def test_float64_activations_are_scipy_bit_for_bit():
+    x = np.concatenate([RNG.normal(size=4096) * 4.0, [0.0, -0.0, 40.0, -40.0]])
+    got = _activations(x)
+    for name, ref in _float64_activations(x).items():
+        assert got[name].dtype == np.float64, name
+        assert np.array_equal(got[name], ref), name
 
 
 def test_softmax_rows_sum_to_one_and_match_reference():
