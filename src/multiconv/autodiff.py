@@ -272,8 +272,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data + b.data)
 
     def bwd(g):
-        axes = tuple(range(g.ndim - 1))
-        return g, g.sum(axis=axes) if axes else g.copy()
+        return g, g.sum(axis=tuple(range(g.ndim - 1)))
 
     return record(out, (x, b), bwd)
 

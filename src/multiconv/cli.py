@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from . import analysis
@@ -44,6 +45,25 @@ def _parse_kernels(text: str) -> tuple[int, ...]:
         return check_kernels(kernels)
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# the record fields that gen-data and train take as flags; Adam's constants have none
+_DATA_FLAGS = tuple(f.name for f in dataclasses.fields(DataSpec))
+_TRAIN_FLAGS = ("seed", "steps", "batch_size", "lr", "clip_norm", "eval_every", "target_ter")
+
+
+def _add_record_flags(p: argparse.ArgumentParser, cls, names, helps=None) -> None:
+    """A ``--field-name`` flag for each named field of the record ``cls``,
+    with the field's type and default."""
+    defaults, types = cls(), typing.get_type_hints(cls)
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=types[name],
+                       default=getattr(defaults, name), help=(helps or {}).get(name))
+
+
+def _record_from_args(cls, args, names):
+    """The ``cls`` record that the flags of :func:`_add_record_flags` hold."""
+    return cls(**{name: getattr(args, name) for name in names})
 
 
 # flags that map one-to-one onto EncoderConfig fields; None means "not passed"
@@ -117,18 +137,7 @@ def _load_trained(model_dir: Path):
 
 
 def _cmd_gen_data(args) -> int:
-    spec = DataSpec(
-        vocab=args.vocab,
-        n_train=args.n_train,
-        n_dev=args.n_dev,
-        n_test=args.n_test,
-        min_tokens=args.min_tokens,
-        max_tokens=args.max_tokens,
-        frames_per_token=args.frames_per_token,
-        n_mels=args.n_mels,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    ).validate()
+    spec = _record_from_args(DataSpec, args, _DATA_FLAGS)
     generate_dataset(spec, args.out, force=args.force)
     print(f"wrote train={spec.n_train} dev={spec.n_dev} test={spec.n_test} "
           f"utterances to {args.out}")
@@ -138,15 +147,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     data_spec = load_spec(args.data)
     cfg = _encoder_from_args(args, n_mels=data_spec.n_mels, vocab=data_spec.vocab)
-    tcfg = TrainConfig(
-        seed=args.seed,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        clip_norm=args.clip_norm,
-        eval_every=args.eval_every,
-        target_ter=args.target_ter,
-    ).validate()
+    tcfg = _record_from_args(TrainConfig, args, _TRAIN_FLAGS).validate()
     train_utts = load_split(args.data, "train")
     dev_utts = load_split(args.data, "dev")
     out = Path(args.out)
@@ -253,37 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-data", help="render a synthetic utterance corpus")
-    spec_defaults = DataSpec()
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--force", action="store_true",
                    help="overwrite a non-empty output directory")
-    p.add_argument("--vocab", type=int, default=spec_defaults.vocab)
-    p.add_argument("--n-train", type=int, default=spec_defaults.n_train)
-    p.add_argument("--n-dev", type=int, default=spec_defaults.n_dev)
-    p.add_argument("--n-test", type=int, default=spec_defaults.n_test)
-    p.add_argument("--min-tokens", type=int, default=spec_defaults.min_tokens)
-    p.add_argument("--max-tokens", type=int, default=spec_defaults.max_tokens)
-    p.add_argument("--frames-per-token", type=int, default=spec_defaults.frames_per_token)
-    p.add_argument("--n-mels", type=int, default=spec_defaults.n_mels)
-    p.add_argument("--noise-std", type=float, default=spec_defaults.noise_std)
-    p.add_argument("--seed", type=int, default=spec_defaults.seed)
+    _add_record_flags(p, DataSpec, _DATA_FLAGS)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a CTC model on a generated corpus")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_encoder_flags(p, with_data_fields=False)
-    train_defaults = TrainConfig()
-    p.add_argument("--seed", type=int, default=train_defaults.seed,
-                   help="training seed; a fresh config also records it as the "
-                        "weight-init seed (a --config file keeps its own)")
-    p.add_argument("--steps", type=int, default=train_defaults.steps)
-    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
-    p.add_argument("--lr", type=float, default=train_defaults.lr)
-    p.add_argument("--clip-norm", type=float, default=train_defaults.clip_norm)
-    p.add_argument("--eval-every", type=int, default=train_defaults.eval_every)
-    p.add_argument("--target-ter", type=float, default=train_defaults.target_ter,
-                   help="stop once dev TER reaches this; negative disables")
+    _add_record_flags(p, TrainConfig, _TRAIN_FLAGS, helps={
+        "seed": "training seed; a fresh config also records it as the "
+                "weight-init seed (a --config file keeps its own)",
+        "target_ter": "stop once dev TER reaches this; negative disables"})
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_train)
 
@@ -298,21 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="inspect a trained model")
     ana = p.add_subparsers(dest="analysis", required=True, parser_class=_Parser)
 
-    q = ana.add_parser("diagonality", help="attention alignment per layer and head")
-    q.add_argument("--data", type=Path, required=True)
-    q.add_argument("--model", type=Path, required=True)
-    q.add_argument("--split", choices=SPLITS, default="dev")
-    q.add_argument("--utts", type=int, default=8)
-    q.add_argument("--out", type=Path, default=None, help="optional CSV path")
-    q.set_defaults(func=_cmd_diagonality)
-
-    q = ana.add_parser("gate-importance", help="learned kernel mixture weights")
-    q.add_argument("--data", type=Path, required=True)
-    q.add_argument("--model", type=Path, required=True)
-    q.add_argument("--split", choices=SPLITS, default="dev")
-    q.add_argument("--utts", type=int, default=8)
-    q.add_argument("--out", type=Path, default=None, help="optional CSV path")
-    q.set_defaults(func=_cmd_gate_importance)
+    for name, text, func in (
+            ("diagonality", "attention alignment per layer and head", _cmd_diagonality),
+            ("gate-importance", "learned kernel mixture weights", _cmd_gate_importance)):
+        q = ana.add_parser(name, help=text)
+        q.add_argument("--data", type=Path, required=True)
+        q.add_argument("--model", type=Path, required=True)
+        q.add_argument("--split", choices=SPLITS, default="dev")
+        q.add_argument("--utts", type=int, default=8)
+        q.add_argument("--out", type=Path, default=None, help="optional CSV path")
+        q.set_defaults(func=func)
 
     p = sub.add_parser("param-count", help="parameter accounting for a config")
     _add_encoder_flags(p, with_data_fields=True)

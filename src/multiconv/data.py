@@ -48,40 +48,29 @@ def token_templates(spec: DataSpec) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(spec.vocab, spec.n_mels))
 
 
-def _render_split(spec: DataSpec, split: str, count: int,
-                  templates: np.ndarray, ss: np.random.SeedSequence):
+def _write_split(out: Path, split: str, spec: DataSpec, count: int,
+                 templates: np.ndarray, ss: np.random.SeedSequence) -> None:
+    """Render ``count`` utterances and write the split's three files. Each
+    utterance's frames go to disk as soon as they are drawn; only the
+    manifest entries and the transcript lines are kept."""
     rng = np.random.default_rng(ss)
-    utts: list[Utterance] = []
-    for i in range(count):
-        n_tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-        tokens = rng.integers(1, spec.vocab + 1, size=n_tokens)
-        clean = np.repeat(templates[tokens - 1], spec.frames_per_token, axis=0)
-        noisy = clean + rng.normal(0.0, spec.noise_std, size=clean.shape)
-        utts.append(Utterance(
-            uid=f"{split}-{i:06d}",
-            feats=noisy.astype(np.float32),
-            tokens=[int(t) for t in tokens],
-        ))
-    return utts
-
-
-def _write_split(out_dir: Path, split: str, utts: list[Utterance], n_mels: int) -> None:
-    frames = np.concatenate([u.feats for u in utts], axis=0)
-    (out_dir / f"{split}.f32").write_bytes(frames.astype("<f4").tobytes())
-    entries = []
+    entries, lines = [], []
     offset = 0
-    for u in utts:
-        entries.append({
-            "id": u.uid,
-            "offset": offset,
-            "frames": u.feats.shape[0],
-            "tokens": u.tokens,
-        })
-        offset += u.feats.shape[0]
-    manifest = {"n_mels": n_mels, "total_frames": offset, "utterances": entries}
-    (out_dir / f"{split}.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    lines = [" ".join([u.uid] + [str(t) for t in u.tokens]) for u in utts]
-    (out_dir / f"{split}.txt").write_text("\n".join(lines) + "\n")
+    with open(out / f"{split}.f32", "wb") as frames:
+        for i in range(count):
+            n_tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+            tokens = rng.integers(1, spec.vocab + 1, size=n_tokens)
+            clean = np.repeat(templates[tokens - 1], spec.frames_per_token, axis=0)
+            noisy = clean + rng.normal(0.0, spec.noise_std, size=clean.shape)
+            frames.write(noisy.astype("<f4"))
+            uid = f"{split}-{i:06d}"
+            ids = [int(t) for t in tokens]
+            entries.append({"id": uid, "offset": offset, "frames": len(noisy), "tokens": ids})
+            lines.append(" ".join([uid, *map(str, ids)]))
+            offset += len(noisy)
+    manifest = {"n_mels": spec.n_mels, "total_frames": offset, "utterances": entries}
+    (out / f"{split}.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out / f"{split}.txt").write_text("\n".join(lines) + "\n")
 
 
 def generate_dataset(spec: DataSpec, out_dir, force: bool = False) -> None:
@@ -100,8 +89,7 @@ def generate_dataset(spec: DataSpec, out_dir, force: bool = False) -> None:
     for split, count, ss in (("train", spec.n_train, train_ss),
                              ("dev", spec.n_dev, dev_ss),
                              ("test", spec.n_test, test_ss)):
-        _write_split(out, split, _render_split(spec, split, count, templates, ss),
-                     spec.n_mels)
+        _write_split(out, split, spec, count, templates, ss)
     spec.save(out / "data_spec.json")
 
 
@@ -166,9 +154,5 @@ def load_split(data_dir, split: str) -> list[Utterance]:
         if text_tokens.get(uid) != tokens:
             raise IntegrityError(
                 f"transcript mismatch for {uid} between {split}.json and {split}.txt")
-        utts.append(Utterance(
-            uid=uid,
-            feats=np.ascontiguousarray(frames[lo:hi]),
-            tokens=tokens,
-        ))
+        utts.append(Utterance(uid=uid, feats=frames[lo:hi], tokens=tokens))
     return utts

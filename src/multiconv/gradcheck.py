@@ -31,6 +31,7 @@ from .autodiff import (
     Tensor,
     add,
     add_bias,
+    add_n,
     backward,
     matmul,
     mul,
@@ -245,6 +246,10 @@ def _op_cases(seed: int) -> list[_Case]:
     x_c2 = rng.normal(size=(7, 9, 2))
     case("conv2d.x", lambda t: red(c2(t)), x_c2.copy())
     _param_cases(case, "conv2d", c2, lambda: red(c2(Tensor(x_c2))))
+
+    # from arrays drawn above, and reduced at a shape already seen, so adding
+    # this case moves no random draw of the cases before it
+    case("add_n", lambda t: red(add_n([t, Tensor(x35), mul(t, t)])), a34 @ b45)
     return cases
 
 

@@ -240,8 +240,8 @@ class LayerNorm(Module):
 
         def bwd(g):
             lead = tuple(range(g.ndim - 1))
-            d_gamma = (g * xhat).sum(axis=lead) if lead else g * xhat
-            d_beta = g.sum(axis=lead) if lead else g.copy()
+            d_gamma = (g * xhat).sum(axis=lead)
+            d_beta = g.sum(axis=lead)
             gh = g * gamma.data
             m1 = gh.sum(axis=-1, keepdims=True) * n_inv
             m2 = (gh * xhat).sum(axis=-1, keepdims=True) * n_inv

@@ -261,7 +261,7 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
                 stopped_early = True
                 break
 
-    if not stopped_early and (steps_run % tcfg.eval_every or steps_run == 0):
+    if not stopped_early and steps_run % tcfg.eval_every:
         final_ter = log_eval(steps_run).ter
 
     return TrainResult(

@@ -16,8 +16,16 @@ from pathlib import Path
 import pytest
 
 import multiconv.training
-from multiconv.cli import _FLAG_FIELDS, _encoder_from_args, build_parser, main
-from multiconv.config import CONV_BLOCKS, FusionKind
+from multiconv.cli import (
+    _DATA_FLAGS,
+    _FLAG_FIELDS,
+    _TRAIN_FLAGS,
+    _encoder_from_args,
+    _record_from_args,
+    build_parser,
+    main,
+)
+from multiconv.config import CONV_BLOCKS, DataSpec, FusionKind, TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -213,6 +221,22 @@ def test_help_defaults_are_those_of_a_config_built_from_flags():
         value = getattr(cfg, name)
         text = ",".join(map(str, value)) if isinstance(value, tuple) else value
         assert helps[name].endswith(f"(default {text})"), name
+
+
+def test_record_flags_default_to_the_record_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["gen-data", "--out", "X"])
+    assert _record_from_args(DataSpec, args, _DATA_FLAGS) == DataSpec()
+    args = parser.parse_args(["train", "--data", "D", "--out", "X"])
+    assert _record_from_args(TrainConfig, args, _TRAIN_FLAGS) == TrainConfig()
+
+
+def test_record_flags_take_the_field_types():
+    args = build_parser().parse_args(
+        ["gen-data", "--out", "X", "--n-train", "5", "--noise-std", "1"])
+    spec = _record_from_args(DataSpec, args, _DATA_FLAGS)
+    assert spec == DataSpec(n_train=5, noise_std=1.0)
+    assert type(spec.n_train) is int and type(spec.noise_std) is float
 
 
 def test_interrupted_train_leaves_a_loadable_run(workspace, tmp_path, monkeypatch, capsys):

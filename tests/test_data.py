@@ -1,6 +1,8 @@
 """Synthetic corpus generation, the on-disk layout, and integrity checks."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +51,35 @@ def test_generation_is_deterministic(tmp_path):
                 == (tmp_path / "b" / f"{split}.f32").read_bytes())
         assert ((tmp_path / "a" / f"{split}.txt").read_text()
                 == (tmp_path / "b" / f"{split}.txt").read_text())
+
+
+def _dir_digest(root):
+    """sha256 over the sorted file names and the bytes of each file."""
+    digest = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_corpus_bytes_are_pinned(tmp_path):
+    # any change to the draw order, the frame bytes, the manifest or the
+    # transcripts moves this digest
+    generate_dataset(DataSpec(n_train=50, n_dev=10, n_test=10, seed=3), tmp_path)
+    assert _dir_digest(tmp_path) == (
+        "b001ee6602990ae8a225976ff7200e324d9b88ac70198a22eb0b5a6558720ed6")
+
+
+def test_generation_does_not_stage_a_split(tmp_path):
+    # each utterance goes to disk as it is drawn, so the traced peak stays far
+    # below the size of the frame file (about 10 MB here)
+    tracemalloc.start()
+    try:
+        generate_dataset(DataSpec(n_train=400, n_dev=8, n_test=8, seed=1), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "train.f32").stat().st_size / 4
 
 
 def test_different_seeds_differ(tmp_path):
