@@ -28,7 +28,7 @@ from .conv_blocks import (
 )
 from .ctc import ctc_feasible, ctc_loss, edit_distance, greedy_decode, token_error_rate
 from .data import Utterance, generate_dataset, load_spec, load_split
-from .encoder import CtcModel, Encoder, EncoderCaptures, EncoderLayer, build_model
+from .encoder import CtcModel, Encoder, EncoderLayer, build_model
 from .errors import (
     ConfigError,
     ContractError,
@@ -50,7 +50,6 @@ __all__ = [
     "CtcModel",
     "DataSpec",
     "Encoder",
-    "EncoderCaptures",
     "EncoderConfig",
     "EncoderLayer",
     "EvalResult",

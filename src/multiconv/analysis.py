@@ -1,7 +1,9 @@
 """Model diagnostics: attention alignment, kernel importance, parameter counts.
 
-All statistics are computed from capture-enabled forward passes or from the
-parameter tensors themselves; nothing here mutates the model.
+All statistics are computed from forward passes run inside an
+:func:`~multiconv.layers.observing` block, which collects the maps that
+each layer's attention and kernel gate observe, or from the parameter
+tensors themselves; nothing here mutates the model.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from .autodiff import Tensor
 from .config import EncoderConfig
 from .conv_blocks import FusionKind, fusion_param_count
 from .data import Utterance
-from .encoder import CtcModel, EncoderCaptures, build_model
+from .encoder import CtcModel, build_model
 from .errors import ContractError, IntegrityError, ShapeError
+from .layers import observing
 
 
 def attention_diagonality(weights: np.ndarray) -> float:
@@ -41,25 +44,32 @@ def attention_diagonality(weights: np.ndarray) -> float:
     return 1.0 - penalty / (t * (t - 1))
 
 
+def _layer_maps(model: CtcModel, utts: list[Utterance], max_utts: int | None, source, what):
+    """For each of the first ``max_utts`` utterances (all when None), the
+    list whose entry i is the one map that ``source(layer i)`` observed."""
+    if max_utts is not None and max_utts < 1:
+        raise ContractError(f"max_utts must be at least 1, got {max_utts}")
+    utts = utts[:max_utts]
+    if not utts:
+        raise ContractError(f"no utterances to read {what} maps from")
+    sources = [source(layer) for layer in model.encoder.layers]
+    for utt in utts:
+        with observing() as seen:
+            model(Tensor(utt.feats))
+        counts = [len(seen.get(module, ())) for module in sources]
+        if counts != [1] * len(sources):
+            raise IntegrityError(f"layers observed {counts} {what} maps, expected one each")
+        yield [seen[module][0] for module in sources]
+
+
 def diagonality_by_layer_head(model: CtcModel, utts: list[Utterance],
                               max_utts: int | None = None) -> np.ndarray:
     """Mean attention diagonality per (layer, head) over ``utts``."""
-    if max_utts is not None:
-        utts = utts[:max_utts]
-    if not utts:
-        raise ContractError("diagonality needs at least one utterance")
     cfg = model.cfg
     total = np.zeros((cfg.layers, cfg.heads))
-    for utt in utts:
-        captures = EncoderCaptures()
-        model(Tensor(utt.feats), captures=captures)
-        if len(captures.attention) != cfg.layers:
-            raise IntegrityError(
-                f"captured {len(captures.attention)} attention maps, expected {cfg.layers}")
-        for layer, weights in enumerate(captures.attention):
-            for h in range(cfg.heads):
-                total[layer, h] += attention_diagonality(weights[h])
-    return total / len(utts)
+    for maps in _layer_maps(model, utts, max_utts, lambda layer: layer.attention, "attention"):
+        total += [[attention_diagonality(w) for w in weights] for weights in maps]
+    return total / len(utts[:max_utts])
 
 
 def diagonality_csv(matrix: np.ndarray) -> str:
@@ -85,22 +95,11 @@ def kernel_importance(model: CtcModel, utts: list[Utterance],
         raise ContractError(
             "kernel importance needs the weighted fusion; "
             f"model uses {cfg.conv_block}/{cfg.fusion}")
-    if max_utts is not None:
-        utts = utts[:max_utts]
-    if not utts:
-        raise ContractError("kernel importance needs at least one utterance")
-    n_kernels = len(cfg.kernels)
-    total = np.zeros((cfg.layers, n_kernels))
+    total = np.zeros((cfg.layers, len(cfg.kernels)))
     frames = np.zeros(cfg.layers)
-    for utt in utts:
-        captures = EncoderCaptures()
-        model(Tensor(utt.feats), captures=captures)
-        if len(captures.gates) != cfg.layers:
-            raise IntegrityError(
-                f"captured {len(captures.gates)} gate maps, expected {cfg.layers}")
-        for layer, alpha in enumerate(captures.gates):
-            total[layer] += alpha.astype(np.float64).sum(axis=0)
-            frames[layer] += alpha.shape[0]
+    for maps in _layer_maps(model, utts, max_utts, lambda layer: layer.conv.unit, "gate"):
+        total += [alpha.astype(np.float64).sum(axis=0) for alpha in maps]
+        frames += [alpha.shape[0] for alpha in maps]
     return total / frames[:, None]
 
 

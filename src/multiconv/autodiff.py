@@ -7,8 +7,10 @@ that fixed order so repeated runs with the same inputs are bitwise
 reproducible.
 
 Ops run forward-only (no recording) when no tape is active, which is how
-inference passes avoid graph overhead. Custom layers register their own
-backward rules through :func:`record`.
+inference passes avoid graph overhead. A tape may also carry the generator
+that dropout draws its masks from, so a training pass is the only one that
+drops anything. Custom layers register their own backward rules through
+:func:`record`.
 """
 
 from __future__ import annotations
@@ -100,11 +102,16 @@ class Tape:
     it returns, and a second ``backward`` without ``reset`` raises
     :class:`StateError`. A tape and its intermediate tensors belong
     to a single worker; parameters may be shared read-only across tapes.
+
+    ``rng`` is the generator that :func:`~multiconv.layers.dropout` draws
+    its masks from while this is the innermost active tape. A tape without
+    one, like a pass with no tape, applies no dropout.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rng: np.random.Generator | None = None) -> None:
         self._nodes: list[_Node] = []
         self._spent = False
+        self.rng = rng
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)

@@ -10,13 +10,16 @@ Layout, all little-endian:
     payload       raw C-order array bytes, concatenated
 
 Arrays are written and restored bit-exactly; the round trip is the identity
-on every finite and non-finite float pattern.
+on every finite and non-finite float pattern. A file is written whole to a
+temporary file beside it and then renamed over it, so a failed or
+interrupted write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +54,22 @@ def save_arrays(path, named: list[tuple[str, np.ndarray]]) -> None:
         chunks.append(data)
         offset += len(data)
     manifest = json.dumps(entries).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(VERSION.to_bytes(4, "little"))
-        fh.write(len(manifest).to_bytes(4, "little"))
-        fh.write(manifest)
-        for chunk in chunks:
-            fh.write(chunk)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(VERSION.to_bytes(4, "little"))
+            fh.write(len(manifest).to_bytes(4, "little"))
+            fh.write(manifest)
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_manifest(path, raw: bytes, payload_size: int):

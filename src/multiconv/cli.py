@@ -47,6 +47,17 @@ def _parse_kernels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # the record fields that gen-data and train take as flags; Adam's constants have none
 _DATA_FLAGS = tuple(f.name for f in dataclasses.fields(DataSpec))
 _TRAIN_FLAGS = ("seed", "steps", "batch_size", "lr", "clip_norm", "eval_every", "target_ter")
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--data", type=Path, required=True)
         q.add_argument("--model", type=Path, required=True)
         q.add_argument("--split", choices=SPLITS, default="dev")
-        q.add_argument("--utts", type=int, default=8)
+        q.add_argument("--utts", type=_positive_int, default=8)
         q.add_argument("--out", type=Path, default=None, help="optional CSV path")
         q.set_defaults(func=func)
 

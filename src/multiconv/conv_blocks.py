@@ -53,6 +53,7 @@ from .layers import (
     gelu,
     glu,
     grouped_conv,
+    observe,
     softmax,
     swish,
 )
@@ -153,8 +154,8 @@ def branch_major(y: Tensor, biases: Sequence[Tensor]) -> Tensor:
 class Mcsgu(Module):
     """Multi-kernel convolutional spatial gating unit, [T, d_inter] -> [T, d_inter/2].
 
-    Given a ``gate_capture`` list, the ``weighted`` fusion appends its
-    per-frame kernel mixture, a [T, P] array whose rows sum to one.
+    With the ``weighted`` fusion each call observes its per-frame kernel
+    mixture, a [T, P] array whose rows sum to one.
     """
 
     def __init__(self, d_inter: int, kernels: Sequence[int], fusion: FusionKind,
@@ -189,7 +190,7 @@ class Mcsgu(Module):
         else:
             raise ConfigError(f"unhandled fusion {fusion}")
 
-    def __call__(self, a: Tensor, gate_capture: list | None = None) -> Tensor:
+    def __call__(self, a: Tensor) -> Tensor:
         if a.ndim != 2 or a.shape[1] != self.d_inter:
             raise ShapeError(f"gating unit expects [T, {self.d_inter}], got {a.shape}")
         z_l, z_r = split_channels(a, self.half)
@@ -203,8 +204,7 @@ class Mcsgu(Module):
             fused = add_bias(depthwise_conv(z_r, w), b)
         elif self.fusion is FusionKind.WEIGHTED:
             alpha = softmax(self.gate(z_r))
-            if gate_capture is not None:
-                gate_capture.append(alpha.data.copy())
+            observe(self, alpha.data)
             fused = mix_rows([conv(z_r) for conv in self.branches], alpha)
         else:
             w = fold_taps([conv.weight for conv in self.branches], k_max, stack=True)
@@ -229,11 +229,10 @@ class MultiConvBlock(Module):
         self.down = Linear(d_inter // 2, dim, rng)
         self.dropout_p = dropout_p
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 gate_capture: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         a = gelu(self.up(x))
-        h = self.unit(a, gate_capture=gate_capture)
-        h = dropout(h, self.dropout_p, rng)
+        h = self.unit(a)
+        h = dropout(h, self.dropout_p)
         return self.down(h)
 
 
@@ -266,9 +265,8 @@ class ConformerConvBlock(Module):
         self.pw_out = Linear(dim, dim, rng)
         self.dropout_p = dropout_p
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 gate_capture: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         h = glu(self.pw_in(x))
         h = swish(self.norm(self.conv(h)))
-        h = dropout(h, self.dropout_p, rng)
+        h = dropout(h, self.dropout_p)
         return self.pw_out(h)

@@ -15,7 +15,6 @@ multi-kernel unit and both single-kernel baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,19 +24,6 @@ from .config import EncoderConfig, parse_fusion
 from .conv_blocks import ConformerConvBlock, CsguBlock, MultiConvBlock
 from .errors import ConfigError
 from .layers import FeedForward, LayerNorm, Linear, Module, Subsampler, dropout, sinusoid_table
-
-
-@dataclass
-class EncoderCaptures:
-    """Side channel for per-layer diagnostics collected during a forward pass.
-
-    Entry i of each list comes from layer i: ``attention`` holds [heads, T, T]
-    attention weights, and ``gates`` the [T, P] kernel mixtures of the
-    ``weighted`` fusion (empty for the other blocks).
-    """
-
-    attention: list[np.ndarray] = field(default_factory=list)
-    gates: list[np.ndarray] = field(default_factory=list)
 
 
 def _make_conv_block(cfg: EncoderConfig, rng: np.random.Generator):
@@ -65,19 +51,16 @@ class EncoderLayer(Module):
         self.ffn2 = FeedForward(dim, cfg.ffn_width, rng, dropout_p=cfg.dropout)
         self.dropout_p = cfg.dropout
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 captures: EncoderCaptures | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         p = self.dropout_p
-        h = self.ffn1(self.norm_ffn1(x), rng)
-        x = add(x, scale(dropout(h, p, rng), 0.5))
-        att_capture = captures.attention if captures is not None else None
-        h = self.attention(self.norm_att(x), rng, capture=att_capture)
-        x = add(x, dropout(h, p, rng))
-        gate_capture = captures.gates if captures is not None else None
-        h = self.conv(self.norm_conv(x), rng, gate_capture=gate_capture)
-        x = add(x, dropout(h, p, rng))
-        h = self.ffn2(self.norm_ffn2(x), rng)
-        return add(x, scale(dropout(h, p, rng), 0.5))
+        h = self.ffn1(self.norm_ffn1(x))
+        x = add(x, scale(dropout(h, p), 0.5))
+        h = self.attention(self.norm_att(x))
+        x = add(x, dropout(h, p))
+        h = self.conv(self.norm_conv(x))
+        x = add(x, dropout(h, p))
+        h = self.ffn2(self.norm_ffn2(x))
+        return add(x, scale(dropout(h, p), 0.5))
 
 
 class Encoder(Module):
@@ -98,13 +81,12 @@ class Encoder(Module):
             self._pos_table = sinusoid_table(grown, self.cfg.dim)
         return Tensor(self._pos_table[:t].astype(dtype, copy=False))
 
-    def __call__(self, feats: Tensor, rng: np.random.Generator | None = None,
-                 captures: EncoderCaptures | None = None) -> Tensor:
+    def __call__(self, feats: Tensor) -> Tensor:
         x = self.subsampler(feats)
         x = add(scale(x, self._x_scale), self._positions(x.shape[0], x.dtype))
-        x = dropout(x, self.cfg.dropout, rng)
+        x = dropout(x, self.cfg.dropout)
         for layer in self.layers:
-            x = layer(x, rng, captures=captures)
+            x = layer(x)
         return self.final_norm(x)
 
 
@@ -122,9 +104,8 @@ class CtcModel(Module):
     def cfg(self) -> EncoderConfig:
         return self.encoder.cfg
 
-    def __call__(self, feats: Tensor, rng: np.random.Generator | None = None,
-                 captures: EncoderCaptures | None = None) -> Tensor:
-        return self.head(self.encoder(feats, rng, captures=captures))
+    def __call__(self, feats: Tensor) -> Tensor:
+        return self.head(self.encoder(feats))
 
 
 def build_model(cfg: EncoderConfig, dtype=np.float32) -> CtcModel:

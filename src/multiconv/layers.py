@@ -9,6 +9,10 @@ order, so a seed pins the whole model. Parameters are built in float64;
 Scalar constants are python floats throughout; numpy float64 scalars would
 silently promote float32 activations under NumPy 2 promotion rules.
 
+Every module is called as ``module(x)``. :func:`dropout` draws its masks
+from the active tape's generator, and modules hand diagnostic arrays to
+:func:`observe`, which records them only inside an :func:`observing` block.
+
 The activations' transcendentals branch on the array's dtype. float64 calls
 ``scipy.special``. float32 uses vectorised numpy forms, a rational ``erf``
 and a tanh-form ``expit``, each within 1e-6 absolute of float64 scipy;
@@ -17,12 +21,14 @@ scipy runs float32 element by element and is several times slower.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 from scipy import special
 
-from .autodiff import (FLOAT_DTYPES, Tensor, add_bias, matmul, mul, record, reshape,
+from .autodiff import (FLOAT_DTYPES, Tape, Tensor, add_bias, matmul, mul, record, reshape,
                        split_channels)
 from .config import check_kernels
 from .errors import ConfigError, ContractError, ShapeError
@@ -141,20 +147,47 @@ def glu(x: Tensor) -> Tensor:
     return mul(a, sigmoid(b))
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout. Identity when ``rng`` is None (eval) or p == 0."""
+def dropout(x: Tensor, p: float) -> Tensor:
+    """Inverted dropout, with the mask drawn from the generator of the
+    innermost active tape. Identity when p == 0, when no tape is active, or
+    when that tape carries no generator."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if rng is None or p == 0.0:
+    if p == 0.0:
+        return x
+    tape = Tape.active()
+    if tape is None or tape.rng is None:
         return x
     keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
+    mask = (tape.rng.random(x.shape) < keep).astype(x.data.dtype) / keep
     out = Tensor(x.data * mask)
 
     def bwd(g):
         return (g * mask,)
 
     return record(out, (x,), bwd)
+
+
+_observer = threading.local()
+
+
+@contextlib.contextmanager
+def observing():
+    """Collect ``{module: [arrays in call order]}`` from the :func:`observe`
+    calls in the block, per thread; a nested block restores the outer one."""
+    outer = getattr(_observer, "seen", None)
+    _observer.seen = seen = {}
+    try:
+        yield seen
+    finally:
+        _observer.seen = outer
+
+
+def observe(module, array: np.ndarray) -> None:
+    """Record a copy of ``array`` under ``module``, if observing() is open."""
+    seen = getattr(_observer, "seen", None)
+    if seen is not None:
+        seen.setdefault(module, []).append(array.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +459,9 @@ class FeedForward(Module):
         self.down = Linear(hidden, dim, rng)
         self.dropout_p = dropout_p
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         h = swish(self.up(x))
-        h = dropout(h, self.dropout_p, rng)
+        h = dropout(h, self.dropout_p)
         return self.down(h)
 
 

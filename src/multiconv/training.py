@@ -237,9 +237,9 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
         model.zero_grad()
         for idx in batch:
             utt = train_utts[idx]
-            tape = Tape()
+            tape = Tape(dropout_rng)
             with tape:
-                logits = model(Tensor(utt.feats), rng=dropout_rng)
+                logits = model(Tensor(utt.feats))
                 loss, feasible = ctc_loss(logits, utt.tokens)
                 if not feasible:
                     n_infeasible += 1

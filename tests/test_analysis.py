@@ -18,8 +18,9 @@ from multiconv.autodiff import Tensor
 from multiconv.config import EncoderConfig
 from multiconv.conv_blocks import fusion_param_count, FusionKind
 from multiconv.data import Utterance
-from multiconv.encoder import EncoderCaptures, build_model
+from multiconv.encoder import build_model
 from multiconv.errors import ContractError, ShapeError
+from multiconv.layers import observing
 
 RNG = np.random.default_rng(23)
 
@@ -104,6 +105,17 @@ def test_max_utts_truncates():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("max_utts", [0, -1])
+def test_max_utts_below_one_is_a_contract_error(max_utts):
+    # a negative count would otherwise slice utterances off the end
+    model = build_model(dataclasses.replace(tiny_cfg(), seed=3))
+    utts = make_utts(3)
+    with pytest.raises(ContractError):
+        diagonality_by_layer_head(model, utts, max_utts=max_utts)
+    with pytest.raises(ContractError):
+        kernel_importance(model, utts, max_utts=max_utts)
+
+
 def test_diagonality_csv_format():
     # one row per layer, heads averaged
     matrix = np.array([[0.5, 0.25], [1.0, 0.0]])
@@ -153,10 +165,13 @@ def test_capture_entry_i_comes_from_layer_i():
             for i in range(3)]
     t = 5  # frames after subsampling 25 input frames
 
-    captures = EncoderCaptures()
-    model(Tensor(utts[0].feats), captures=captures)
-    assert len(captures.gates) == len(captures.attention) == 2
-    for layer, (alpha, weights) in enumerate(zip(captures.gates, captures.attention)):
+    with observing() as seen:
+        model(Tensor(utts[0].feats))
+    layers = model.encoder.layers
+    assert len(layers) == 2 and all(len(maps) == 1 for maps in seen.values())
+    gates = [seen[layer.conv.unit][0] for layer in layers]
+    attention = [seen[layer.attention][0] for layer in layers]
+    for layer, (alpha, weights) in enumerate(zip(gates, attention)):
         assert alpha.shape == (t, 2) and weights.shape == (2, t, t)
         if layer == 1:
             assert np.allclose(alpha, mixture, atol=1e-6)

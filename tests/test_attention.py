@@ -9,6 +9,7 @@ import oracles
 from multiconv.attention import MultiHeadAttention
 from multiconv.autodiff import Tensor
 from multiconv.errors import ConfigError, ShapeError
+from multiconv.layers import observing
 
 RNG = np.random.default_rng(33)
 
@@ -28,9 +29,9 @@ def test_two_frame_hand_example():
     att = MultiHeadAttention(2, 1, np.random.default_rng(0))
     _identity_projections(att)
     x = np.eye(2)
-    maps: list[np.ndarray] = []
-    out = att(Tensor(x), capture=maps)
-    w = maps[0][0]
+    with observing() as seen:
+        out = att(Tensor(x))
+    w = seen[att][0][0]
     assert w[0, 0] == pytest.approx(DIAG_WEIGHT_2D, abs=1e-15)
     assert w[1, 1] == pytest.approx(DIAG_WEIGHT_2D, abs=1e-15)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-15)
@@ -41,8 +42,9 @@ def test_two_frame_hand_example():
 def test_weights_match_reference_softmax():
     att = MultiHeadAttention(8, 2, np.random.default_rng(1))
     x = RNG.normal(size=(6, 8))
-    maps: list[np.ndarray] = []
-    att(Tensor(x), capture=maps)
+    with observing() as seen:
+        att(Tensor(x))
+    maps = seen[att]
     q = x @ att.q_proj.weight.data + att.q_proj.bias.data
     k = x @ att.k_proj.weight.data + att.k_proj.bias.data
     for head in range(2):
@@ -55,8 +57,9 @@ def test_weights_match_reference_softmax():
 
 def test_capture_shape_and_row_stochastic():
     att = MultiHeadAttention(6, 3, np.random.default_rng(2))
-    maps: list[np.ndarray] = []
-    out = att(Tensor(RNG.normal(size=(5, 6))), capture=maps)
+    with observing() as seen:
+        out = att(Tensor(RNG.normal(size=(5, 6))))
+    maps = seen[att]
     assert out.shape == (5, 6)
     assert len(maps) == 1
     assert maps[0].shape == (3, 5, 5)
@@ -66,9 +69,9 @@ def test_capture_shape_and_row_stochastic():
 
 def test_single_frame_attends_to_itself():
     att = MultiHeadAttention(4, 2, np.random.default_rng(3))
-    maps: list[np.ndarray] = []
-    att(Tensor(RNG.normal(size=(1, 4))), capture=maps)
-    assert np.array_equal(maps[0], np.ones((2, 1, 1)))
+    with observing() as seen:
+        att(Tensor(RNG.normal(size=(1, 4))))
+    assert np.array_equal(seen[att][0], np.ones((2, 1, 1)))
 
 
 def test_permutation_equivariance():

@@ -175,6 +175,27 @@ def test_model_load_checks_dtypes(tmp_path):
         load_model(path, build_model(dataclasses.replace(cfg, seed=0)))
 
 
+@pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failure):
+    path = tmp_path / "model.mckpt"
+    model = build_model(tiny_cfg(seed=0))
+    save_model(path, model)
+    before = path.read_bytes()
+    for t in model.parameters():
+        t.data = t.data + 1.0
+
+    def fail(fd):
+        raise failure
+
+    # the new bytes are written, then the write fails before the rename
+    monkeypatch.setattr("multiconv.checkpoint.os.fsync", fail)
+    with pytest.raises(type(failure)):
+        save_model(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mckpt"]
+    load_model(path, build_model(tiny_cfg(seed=0)))
+
+
 def test_empty_checkpoint_round_trips(tmp_path):
     path = tmp_path / "empty.mckpt"
     save_arrays(path, [])

@@ -129,6 +129,17 @@ def test_diagonality_prints_and_writes_csv(workspace, tmp_path, capsys):
         assert 0.0 <= float(row["value"]) <= 1.0
 
 
+@pytest.mark.parametrize("analysis", ["diagonality", "gate-importance"])
+@pytest.mark.parametrize("utts", ["0", "-1", "two"])
+def test_analyze_utts_must_be_positive(workspace, analysis, utts, capsys):
+    data, run = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", analysis, "--data", str(data), "--model", str(run),
+              "--utts", utts])
+    assert exc.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_gate_importance_rows_sum_to_one(workspace, tmp_path, capsys):
     data, run = workspace
     out_csv = tmp_path / "gates.csv"

@@ -27,7 +27,7 @@ from multiconv.conv_blocks import (
     fusion_param_count,
 )
 from multiconv.errors import ConfigError, ShapeError
-from multiconv.layers import softmax
+from multiconv.layers import observing, softmax
 
 RNG = np.random.default_rng(55)
 
@@ -95,9 +95,9 @@ def test_weighted_fusion_mixes_with_softmax_gates():
     unit.gate.weight.data = np.random.default_rng(9).normal(size=(12, 2))
     unit.gate.bias.data = np.random.default_rng(10).normal(size=2)
     a = RNG.normal(size=(7, 24))
-    gates: list[np.ndarray] = []
-    out = unit(Tensor(a), gate_capture=gates)
-    alpha = gates[0]
+    with observing() as seen:
+        out = unit(Tensor(a))
+    alpha = seen[unit][0]
     assert alpha.shape == (7, 2)
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
     z_l = a[:, :12]
@@ -111,9 +111,9 @@ def test_weighted_gate_starts_at_zero_and_uniform():
     for p, kernels in ((2, (3, 5)), (4, (3, 5, 7, 9))):
         unit = _unit(FusionKind.WEIGHTED, d_inter=8 * p, kernels=kernels)
         assert np.array_equal(unit.gate.weight.data, np.zeros((4 * p, p)))
-        gates: list[np.ndarray] = []
-        unit(Tensor(RNG.normal(size=(6, 8 * p))), gate_capture=gates)
-        assert np.array_equal(gates[0], np.full((6, p), 1.0 / p))
+        with observing() as seen:
+            unit(Tensor(RNG.normal(size=(6, 8 * p))))
+        assert np.array_equal(seen[unit][0], np.full((6, p), 1.0 / p))
 
 
 def test_weighted_with_zero_gate_equals_scaled_sum():
@@ -240,10 +240,10 @@ def test_fusion_param_count_formulas_by_hand():
 def test_multiconv_block_shapes_and_gate_capture():
     for fusion in FusionKind:
         block = MultiConvBlock(10, 24, (3, 5), fusion, np.random.default_rng(1))
-        gates: list[np.ndarray] = []
-        out = block(Tensor(RNG.normal(size=(7, 10))), gate_capture=gates)
+        with observing() as seen:
+            out = block(Tensor(RNG.normal(size=(7, 10))))
         assert out.shape == (7, 10)
-        assert len(gates) == (1 if fusion is FusionKind.WEIGHTED else 0)
+        assert len(seen.get(block.unit, [])) == (1 if fusion is FusionKind.WEIGHTED else 0)
 
 
 def test_csgu_block_and_conformer_block_shapes():

@@ -1,14 +1,15 @@
-"""Encoder stack assembly, captures, determinism, and the baseline swap."""
+"""Encoder stack assembly, observed maps, determinism, and the baseline swap."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from multiconv.autodiff import Tensor
+from multiconv.autodiff import Tape, Tensor
 from multiconv.config import EncoderConfig
-from multiconv.encoder import CtcModel, Encoder, EncoderCaptures, build_model
+from multiconv.encoder import CtcModel, Encoder, build_model
 from multiconv.errors import ConfigError, ShapeError
+from multiconv.layers import observing
 
 RNG = np.random.default_rng(77)
 
@@ -44,19 +45,38 @@ def test_all_block_variants_run(block, fusion):
 def test_captures_collect_per_layer():
     cfg = tiny_cfg(fusion="weighted", layers=3)
     model = build_model(dataclasses.replace(cfg, seed=1))
-    captures = EncoderCaptures()
-    model(Tensor(RNG.normal(size=(20, 9)).astype(np.float32)), captures=captures)
-    assert len(captures.attention) == len(captures.gates) == 3
-    assert all(w.shape == (2, 4, 4) for w in captures.attention)
-    assert all(g.shape == (4, 2) for g in captures.gates)
+    with observing() as seen:
+        model(Tensor(RNG.normal(size=(20, 9)).astype(np.float32)))
+    layers = model.encoder.layers
+    assert len(layers) == 3
+    assert set(seen) == {m for layer in layers for m in (layer.attention, layer.conv.unit)}
+    assert all(len(maps) == 1 for maps in seen.values())
+    assert all(seen[layer.attention][0].shape == (2, 4, 4) for layer in layers)
+    assert all(seen[layer.conv.unit][0].shape == (4, 2) for layer in layers)
 
 
 def test_no_gate_captures_for_other_fusions():
     model = build_model(dataclasses.replace(tiny_cfg(fusion="concat"), seed=1))
-    captures = EncoderCaptures()
-    model(Tensor(RNG.normal(size=(16, 9)).astype(np.float32)), captures=captures)
-    assert captures.gates == []
-    assert len(captures.attention) == 2
+    with observing() as seen:
+        model(Tensor(RNG.normal(size=(16, 9)).astype(np.float32)))
+    layers = model.encoder.layers
+    assert set(seen) == {layer.attention for layer in layers}
+    assert [len(seen[layer.attention]) for layer in layers] == [1, 1]
+
+
+def test_dropout_only_on_a_tape_with_a_generator():
+    feats = Tensor(RNG.normal(size=(16, 9)).astype(np.float32))
+    plain = build_model(tiny_cfg(dropout=0.0, seed=2))(feats).data
+    model = build_model(tiny_cfg(dropout=0.5, seed=2))
+    assert np.array_equal(model(feats).data, plain)  # no tape
+    with Tape():
+        assert np.array_equal(model(feats).data, plain)
+    rng = np.random.default_rng(0)
+    with Tape(rng):
+        dropped = model(feats).data
+    assert not np.array_equal(dropped, plain)
+    with Tape(np.random.default_rng(0)):
+        assert np.array_equal(model(feats).data, dropped)
 
 
 def test_same_seed_same_output():

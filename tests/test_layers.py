@@ -1,11 +1,13 @@
 """Activations, norms, projections, and convolutions against references."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
+import multiconv
 import oracles
 from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
 from multiconv.errors import ConfigError, ContractError, ShapeError
@@ -24,6 +26,8 @@ from multiconv.layers import (
     gelu,
     glu,
     grouped_conv,
+    observe,
+    observing,
     sigmoid,
     sinusoid_table,
     softmax,
@@ -134,24 +138,85 @@ def test_glu_gates_first_half_by_sigmoid_of_second():
 
 def test_dropout_identity_without_rng_or_p():
     x = Tensor(RNG.normal(size=(4, 4)))
-    assert dropout(x, 0.0, np.random.default_rng(0)) is x
-    assert dropout(x, 0.5, None) is x
+    with Tape(np.random.default_rng(0)):
+        assert dropout(x, 0.0) is x
+    assert dropout(x, 0.5) is x  # no tape
+    with Tape():
+        assert dropout(x, 0.5) is x  # a tape without a generator
     with pytest.raises(ConfigError):
-        dropout(x, 1.0, np.random.default_rng(0))
+        with Tape(np.random.default_rng(0)):
+            dropout(x, 1.0)
 
 
 def test_dropout_is_inverted_and_masks():
     x = Tensor(np.ones((200, 50), dtype=np.float32))
-    y = dropout(x, 0.25, np.random.default_rng(3))
+    with Tape(np.random.default_rng(3)):
+        y = dropout(x, 0.25)
     kept = y.data != 0
     assert y.dtype == np.float32
     assert np.allclose(y.data[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.02
     x64 = Tensor(np.ones((50, 40)), requires_grad=True)
-    with Tape():
-        y = dropout(x64, 0.5, np.random.default_rng(4))
+    with Tape(np.random.default_rng(4)):
+        y = dropout(x64, 0.5)
         backward(tsum(y))
     assert np.array_equal(x64.grad, (y.data != 0) * 2.0)
+
+
+def test_plain_tape_inside_a_training_tape_draws_nothing():
+    # a layer re-run on its own tape in the middle of a training pass must
+    # leave the training generator where it was
+    rng = np.random.default_rng(5)
+    x = Tensor(np.ones((6, 4)), requires_grad=True)
+    with Tape(rng):
+        before = rng.bit_generator.state
+        with Tape():
+            assert dropout(x, 0.5) is x
+        assert rng.bit_generator.state == before
+        assert dropout(x, 0.5) is not x
+    assert rng.bit_generator.state != before
+
+
+def test_observing_nests_and_restores_the_outer_observer():
+    a, b = object(), object()
+    observe(a, np.zeros(1))  # nothing open: recorded nowhere
+    with observing() as outer:
+        observe(a, np.ones(2))
+        with observing() as inner:
+            observe(b, np.full(3, 2.0))
+        observe(a, np.full(2, 3.0))
+    observe(b, np.zeros(1))
+    assert list(inner) == [b] and len(inner[b]) == 1
+    assert list(outer) == [a]
+    assert [m.tolist() for m in outer[a]] == [[1.0, 1.0], [3.0, 3.0]]
+
+
+def test_observe_records_a_copy():
+    arr = np.zeros(3)
+    with observing() as seen:
+        observe("m", arr)
+    arr[:] = 1.0
+    assert seen["m"][0].tolist() == [0.0, 0.0, 0.0]
+
+
+def _module_classes(cls=Module):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("multiconv."):
+            yield sub
+        yield from _module_classes(sub)
+
+
+def test_every_module_is_called_on_one_tensor():
+    classes = sorted(set(_module_classes()), key=lambda c: c.__qualname__)
+    assert {c.__name__ for c in classes} >= {
+        "CtcModel", "Encoder", "EncoderLayer", "FeedForward", "MultiHeadAttention",
+        "Mcsgu", "MultiConvBlock", "CsguBlock", "ConformerConvBlock"}
+    for cls in classes:
+        params = list(inspect.signature(cls.__call__).parameters.values())
+        assert len(params) == 2, f"{cls.__qualname__}.__call__{inspect.signature(cls.__call__)}"
+        assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert params[1].default is inspect.Parameter.empty
+    assert not hasattr(multiconv, "EncoderCaptures")
 
 
 def test_linear_matches_numpy_affine():

@@ -1,0 +1,99 @@
+"""Digests of what short training runs produce, for showing that a change
+leaves every output bit-identical.
+
+    python3 tools/fingerprint.py
+
+Generates a small corpus, then trains each of the six model variants of
+acceptance criterion 6 (the four fusion rules and the two baselines) at the
+toy geometry (dim 64, 2 layers, d_inter 384, kernels 3/7/11/15) for a few
+steps with dropout 0.1, once with float32 and once with float64 parameters.
+It prints one sha256 per variant and dtype, then one over all of them. Each
+digest covers the ``metrics.jsonl`` rows without ``wall_seconds``, the bytes
+of the checkpoint, the logits of the trained model on a fixed input, and the
+analysis outputs: attention diagonality, and kernel importance for
+``weighted``. Run it on two revisions and compare the output.
+
+The script uses only the package's public functions, so the same file runs
+on earlier revisions too.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from multiconv import analysis  # noqa: E402
+from multiconv.autodiff import Tensor  # noqa: E402
+from multiconv.config import DataSpec, EncoderConfig, TrainConfig  # noqa: E402
+from multiconv.data import generate_dataset, load_split  # noqa: E402
+from multiconv.encoder import build_model  # noqa: E402
+from multiconv.training import train_model  # noqa: E402
+
+# (name, conv_block, fusion), as acceptance criterion 6 trains them
+VARIANTS = (
+    ("depth", "multiconv", "depth"),
+    ("sum", "multiconv", "sum"),
+    ("weighted", "multiconv", "weighted"),
+    ("concat", "multiconv", "concat"),
+    ("csgu", "csgu", "depth"),
+    ("conformer", "conformer", "depth"),
+)
+TOY = EncoderConfig(dim=64, layers=2, heads=4, d_inter=384, d_ffn=0,
+                    kernels=(3, 7, 11, 15), n_mels=80, vocab=8, dropout=0.1, seed=0)
+CORPUS = DataSpec(n_train=24, n_dev=6, n_test=1, seed=0)
+TRAIN = TrainConfig(seed=0, steps=6, batch_size=4, eval_every=3)
+ANALYSED_UTTS = 4
+
+
+def run_digest(cfg: EncoderConfig, dtype, tcfg: TrainConfig, train, dev) -> str:
+    """sha256 over one training run's metrics, checkpoint, logits and analyses."""
+    h = hashlib.sha256()
+    model = build_model(cfg, dtype)
+    with tempfile.TemporaryDirectory() as out:
+        train_model(model, train, dev, tcfg, out_dir=out)
+        for line in (Path(out) / "metrics.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            del row["wall_seconds"]
+            h.update(json.dumps(row, sort_keys=True).encode())
+        h.update((Path(out) / "model.mckpt").read_bytes())
+    probe = np.random.default_rng(7).normal(size=(40, cfg.n_mels)).astype(dtype)
+    h.update(model(Tensor(probe)).data.tobytes())
+    h.update(analysis.diagonality_by_layer_head(model, dev, max_utts=ANALYSED_UTTS).tobytes())
+    if cfg.conv_block == "multiconv" and cfg.fusion == "weighted":
+        h.update(analysis.kernel_importance(model, dev, max_utts=ANALYSED_UTTS).tobytes())
+    return h.hexdigest()
+
+
+def fingerprint(data_dir, base: EncoderConfig = TOY, tcfg: TrainConfig = TRAIN,
+                variants=VARIANTS, dtypes=(np.float32, np.float64)) -> dict[str, str]:
+    """``{"<variant>/<dtype>": digest, ..., "total": digest}`` for the corpus
+    in ``data_dir``; the total hashes the others in order."""
+    train, dev = load_split(data_dir, "train"), load_split(data_dir, "dev")
+    digests = {}
+    for name, block, fusion in variants:
+        cfg = dataclasses.replace(base, conv_block=block, fusion=fusion)
+        for dtype in dtypes:
+            digests[f"{name}/{np.dtype(dtype).name}"] = run_digest(cfg, dtype, tcfg, train, dev)
+    digests["total"] = hashlib.sha256("".join(digests.values()).encode()).hexdigest()
+    return digests
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as data_dir:
+        generate_dataset(CORPUS, data_dir)
+        digests = fingerprint(data_dir)
+    for key, digest in digests.items():
+        print(f"{key:<20s} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
