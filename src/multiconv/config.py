@@ -32,6 +32,8 @@ class FusionKind(str, Enum):
 
 FUSIONS = tuple(kind.value for kind in FusionKind)
 CONV_BLOCKS = ("multiconv", "csgu", "conformer")
+# the two stride-2 3x3 conv stages of the subsampler need 7 inputs for 1 output
+SUBSAMPLER_FLOOR = 7
 
 
 def parse_fusion(name: str) -> FusionKind:
@@ -168,8 +170,8 @@ class EncoderConfig(_JsonMixin):
         check_gate_width(self.inter_width,
                          fusion if self.conv_block == "multiconv" else FusionKind.SUM,
                          len(self.kernels))
-        if self.n_mels < 7:
-            raise ConfigError("n_mels must be at least 7 for the two conv stages")
+        if self.n_mels < SUBSAMPLER_FLOOR:
+            raise ConfigError(f"n_mels must be at least {SUBSAMPLER_FLOOR} for the two conv stages")
         if self.vocab < 1:
             raise ConfigError("vocab must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -201,8 +203,9 @@ class DataSpec(_JsonMixin):
             raise ConfigError("need 1 <= min_tokens <= max_tokens")
         if self.frames_per_token < 1:
             raise ConfigError("frames_per_token must be positive")
-        if self.min_tokens * self.frames_per_token < 7:
-            raise ConfigError("shortest utterance must reach the 7-frame subsampler floor")
+        if self.min_tokens * self.frames_per_token < SUBSAMPLER_FLOOR:
+            raise ConfigError(f"shortest utterance must reach the {SUBSAMPLER_FLOOR}-frame "
+                              "subsampler floor")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
         return self

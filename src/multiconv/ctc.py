@@ -1,10 +1,11 @@
 """Connectionist temporal classification: loss, gradient, decoding, scoring.
 
 The loss marginalizes over all frame alignments of the label sequence via
-the usual forward/backward recursions on the blank-extended state chain
-``blank, y1, blank, y2, ..., blank``. All dynamic programming runs in
-log-space float64 regardless of the logit dtype; the analytic gradient
-(softmax minus state occupancy) is cast back to the logit dtype.
+the forward recursion on the blank-extended state chain
+``blank, y1, blank, y2, ..., blank``; its backward rule runs the backward
+recursion and builds the analytic gradient (softmax minus state occupancy).
+All dynamic programming runs in log-space float64 regardless of the logit
+dtype; the gradient is cast back to the logit dtype.
 
 Class 0 is the blank everywhere; real tokens are 1..vocab.
 """
@@ -86,16 +87,16 @@ def ctc_loss(logits: Tensor, labels: Sequence[int]) -> tuple[Tensor, bool]:
     Returns ``(loss, feasible)``. When the sequence cannot fit in the
     available frames the loss is +inf, carries no gradient, and ``feasible``
     is False; callers should drop such samples rather than step on them.
+    Beta and the gradient are built in the backward rule, only if it runs.
     """
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ContractError(f"ctc_loss needs logits [T, vocab+1], got {logits.shape}")
+    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
+        raise ContractError(f"ctc_loss needs logits [T, vocab+1] with T >= 1, got {logits.shape}")
     n_frames, n_classes = logits.shape
     labels = _check_labels(labels, n_classes - 1)
     if not ctc_feasible(n_frames, labels):
         return Tensor(np.float64(np.inf)), False
 
     ext = _extended_states(labels)
-    n_states = ext.shape[0]
     lp = _log_softmax64(logits.data)
     lp_ext = lp[:, ext]  # [T, S] emission log-probs per chain state
 
@@ -106,26 +107,19 @@ def ctc_loss(logits: Tensor, labels: Sequence[int]) -> tuple[Tensor, bool]:
         # unreachable for feasible inputs with finite logits, but stay safe
         return Tensor(np.float64(np.inf)), False
 
-    # The backward variables are the forward ones of the lattice with frames
-    # and states reversed; the reversed chain is that of the reversed labels.
-    beta = _forward_vars(lp_ext[::-1, ::-1], _skip_in(ext[::-1]))[::-1, ::-1]
-
-    # state occupancy; alpha and beta both include the frame-t emission
-    with np.errstate(invalid="ignore"):
-        gamma = np.exp(alpha + beta - lp_ext - log_like)
-    gamma[~np.isfinite(gamma)] = 0.0
-    occupancy = np.zeros((n_frames, n_classes))
-    for s in range(n_states):
-        occupancy[:, ext[s]] += gamma[:, s]
-
-    softmax_p = np.exp(lp)
-    grad64 = softmax_p - occupancy
-    out = Tensor(np.float64(-log_like))
-
     def bwd(g):
-        return ((grad64 * g).astype(logits.data.dtype),)
+        # The backward variables are the forward ones of the lattice with frames
+        # and states reversed; the reversed chain is that of the reversed labels.
+        beta = _forward_vars(lp_ext[::-1, ::-1], _skip_in(ext[::-1]))[::-1, ::-1]
+        # state occupancy; alpha and beta both include the frame-t emission
+        with np.errstate(invalid="ignore"):
+            gamma = np.exp(alpha + beta - lp_ext - log_like)
+        gamma[~np.isfinite(gamma)] = 0.0
+        occupancy = np.zeros(lp.shape)
+        np.add.at(occupancy, (slice(None), ext), gamma)
+        return (((np.exp(lp) - occupancy) * g).astype(logits.data.dtype),)
 
-    return record(out, (logits,), bwd), True
+    return record(Tensor(np.float64(-log_like)), (logits,), bwd), True
 
 
 def greedy_decode(logits: np.ndarray) -> list[int]:

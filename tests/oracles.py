@@ -165,6 +165,28 @@ def ctc_loss_brute_force(log_probs: np.ndarray, labels: list[int]) -> float:
     return -(peak + math.log(np.exp(path_scores - peak).sum()))
 
 
+def ctc_grad_brute_force(logits: np.ndarray, labels: list[int]) -> np.ndarray | None:
+    """Gradient of the CTC loss w.r.t. the logits by path enumeration: the
+    softmax minus the one-hot of every path that collapses to ``labels``,
+    each weighted by its posterior among those paths. None when no path
+    does."""
+    n_frames, n_classes = logits.shape
+    paths = _paths_by_output(n_frames, n_classes).get(tuple(labels))
+    if paths is None:
+        return None
+    probs = softmax_rows(logits)
+    log_probs = np.log(probs)
+    posteriors = []
+    for path in paths:
+        posteriors.append(math.exp(sum(log_probs[t, cls] for t, cls in enumerate(path))))
+    total = sum(posteriors)
+    occupancy = np.zeros((n_frames, n_classes))
+    for path, weight in zip(paths, posteriors):
+        for t, cls in enumerate(path):
+            occupancy[t, cls] += weight / total
+    return probs - occupancy
+
+
 def edit_distance_recursive(a, b) -> int:
     """Levenshtein distance by memoized recursion."""
 

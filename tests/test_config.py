@@ -3,10 +3,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from multiconv.config import DataSpec, EncoderConfig, TrainConfig
+from multiconv.config import SUBSAMPLER_FLOOR, DataSpec, EncoderConfig, TrainConfig
 from multiconv.errors import ConfigError
+from multiconv.layers import Subsampler
 
 
 def test_derived_widths_default_to_multiples_of_dim():
@@ -164,6 +166,19 @@ def test_encoder_validation(bad):
 def test_data_spec_validation(bad):
     with pytest.raises(ConfigError):
         DataSpec(**bad).validate()
+
+
+def test_subsampler_floor_is_where_its_output_reaches_one_frame():
+    sub = Subsampler(n_mels=SUBSAMPLER_FLOOR, dim=2, rng=np.random.default_rng(0))
+    assert sub.out_len(SUBSAMPLER_FLOOR) == 1
+    assert sub.out_len(SUBSAMPLER_FLOOR - 1) == 0
+    EncoderConfig(n_mels=SUBSAMPLER_FLOOR).validate()
+    DataSpec(min_tokens=1, frames_per_token=SUBSAMPLER_FLOOR).validate()
+    with pytest.raises(ConfigError, match="^n_mels must be at least 7 for the two conv stages$"):
+        EncoderConfig(n_mels=SUBSAMPLER_FLOOR - 1).validate()
+    with pytest.raises(ConfigError,
+                       match="^shortest utterance must reach the 7-frame subsampler floor$"):
+        DataSpec(min_tokens=1, frames_per_token=SUBSAMPLER_FLOOR - 1).validate()
 
 
 @pytest.mark.parametrize("bad", [

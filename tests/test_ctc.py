@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from multiconv import ctc
 from multiconv.autodiff import Tape, Tensor, backward
 from multiconv.ctc import (
     ctc_feasible,
@@ -15,8 +16,10 @@ from multiconv.ctc import (
     min_frames,
     token_error_rate,
 )
+from multiconv.data import Utterance
 from multiconv.errors import ContractError
 from multiconv.gradcheck import numeric_gradient
+from multiconv.training import evaluate
 
 RNG = np.random.default_rng(101)
 
@@ -77,25 +80,87 @@ def test_label_validation():
         ctc_loss(logits, [4])      # outside 1..3
     with pytest.raises(ContractError):
         ctc_loss(Tensor(np.zeros(3)), [1])
+    for labels in ([], [1]):       # no frames: a shape error, not an index error or inf
+        with pytest.raises(ContractError):
+            ctc_loss(Tensor(np.zeros((0, 3))), labels)
 
 
-def test_loss_matches_brute_force_enumeration():
+def _enumerable_lattices():
+    """Seeded (logits, labels) small enough for path enumeration: T 1-6,
+    vocab 1-3, 0-3 labels."""
     rng = np.random.default_rng(5)
-    checked = 0
     for n_frames in (1, 2, 3, 4, 5, 6):
         for vocab in (1, 2, 3):
             for _ in range(4):
                 n_labels = int(rng.integers(0, min(n_frames, 3) + 1))
                 labels = [int(v) for v in rng.integers(1, vocab + 1, size=n_labels)]
-                logits = rng.normal(size=(n_frames, vocab + 1)) * 2
-                want = oracles.ctc_loss_brute_force(log_softmax(logits), labels)
-                loss, ok = ctc_loss(Tensor(logits), labels)
-                assert ok == math.isfinite(want)
-                if ok:
-                    assert loss.item() == pytest.approx(want, abs=1e-9), (
-                        n_frames, vocab, labels)
-                checked += 1
+                yield rng.normal(size=(n_frames, vocab + 1)) * 2, labels
+
+
+def test_loss_matches_brute_force_enumeration():
+    checked = 0
+    for logits, labels in _enumerable_lattices():
+        want = oracles.ctc_loss_brute_force(log_softmax(logits), labels)
+        loss, ok = ctc_loss(Tensor(logits), labels)
+        assert ok == math.isfinite(want)
+        if ok:
+            assert loss.item() == pytest.approx(want, abs=1e-9), (logits.shape, labels)
+        checked += 1
     assert checked >= 70
+
+
+def test_gradient_matches_brute_force_enumeration():
+    checked = repeats = empty = 0
+    for logits, labels in _enumerable_lattices():
+        want = oracles.ctc_grad_brute_force(logits, labels)
+        x = Tensor(logits, requires_grad=True)
+        with Tape():
+            loss, ok = ctc_loss(x, labels)
+            assert ok == (want is not None)
+            if not ok:
+                continue
+            backward(loss)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-9, err_msg=str(labels))
+        checked += 1
+        repeats += any(a == b for a, b in zip(labels, labels[1:]))
+        empty += not labels
+    assert checked >= 50 and repeats and empty
+
+
+def _count_recursions(monkeypatch):
+    calls = []
+    real = ctc._forward_vars
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ctc, "_forward_vars", counting)
+    return calls
+
+
+def test_backward_recursion_runs_only_in_backward(monkeypatch):
+    calls = _count_recursions(monkeypatch)
+    logits = Tensor(np.random.default_rng(3).normal(size=(6, 4)), requires_grad=True)
+    labels = [1, 3, 3]
+    ctc_loss(logits, labels)
+    assert len(calls) == 1
+    with Tape():
+        ctc_loss(logits, labels)
+    assert len(calls) == 2
+    with Tape():
+        loss, _ = ctc_loss(logits, labels)
+        backward(loss)
+    assert len(calls) == 4
+
+
+def test_evaluate_runs_one_recursion_per_utterance(monkeypatch):
+    calls = _count_recursions(monkeypatch)
+    logits = np.random.default_rng(4).normal(size=(5, 4))
+    utts = [Utterance(f"u{i}", np.zeros((1, 1)), labels)
+            for i, labels in enumerate(([1, 2], [3], [], [2, 2]))]
+    evaluate(lambda feats: Tensor(logits), utts)
+    assert len(calls) == len(utts)
 
 
 def test_gradient_rows_sum_to_zero():

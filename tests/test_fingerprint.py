@@ -1,4 +1,4 @@
-"""The bit-identity fingerprint: repeatable, and moved by the training seed."""
+"""The bit-identity fingerprints: repeatable, and moved by their seeds."""
 
 import dataclasses
 import importlib.util
@@ -41,3 +41,9 @@ def test_fingerprint_repeats_and_follows_the_training_seed(corpus):
     assert _digests(corpus) == first
     assert _digests(corpus, seed=1)["weighted/float32"] != first["weighted/float32"]
     assert _digests(corpus, dropout=0.0)["weighted/float32"] != first["weighted/float32"]
+
+
+def test_lattice_digest_repeats_and_follows_the_seed():
+    first = fingerprint.lattice_digest(200)
+    assert fingerprint.lattice_digest(200) == first
+    assert fingerprint.lattice_digest(200, seed=1) != first

@@ -11,7 +11,10 @@ It prints one sha256 per variant and dtype, then one over all of them. Each
 digest covers the ``metrics.jsonl`` rows without ``wall_seconds``, the bytes
 of the checkpoint, the logits of the trained model on a fixed input, and the
 analysis outputs: attention diagonality, and kernel importance for
-``weighted``. Run it on two revisions and compare the output.
+``weighted``. A last line digests the CTC loss alone over 3,000 seeded
+random lattices: each loss, feasibility flag and float32/float64 logit
+gradient, infeasible and repeated label sequences included. Run it on two
+revisions and compare the output.
 
 The script uses only the package's public functions, so the same file runs
 on earlier revisions too.
@@ -31,8 +34,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multiconv import analysis  # noqa: E402
-from multiconv.autodiff import Tensor  # noqa: E402
+from multiconv.autodiff import Tape, Tensor, backward  # noqa: E402
 from multiconv.config import DataSpec, EncoderConfig, TrainConfig  # noqa: E402
+from multiconv.ctc import ctc_loss  # noqa: E402
 from multiconv.data import generate_dataset, load_split  # noqa: E402
 from multiconv.encoder import build_model  # noqa: E402
 from multiconv.training import train_model  # noqa: E402
@@ -51,6 +55,7 @@ TOY = EncoderConfig(dim=64, layers=2, heads=4, d_inter=384, d_ffn=0,
 CORPUS = DataSpec(n_train=24, n_dev=6, n_test=1, seed=0)
 TRAIN = TrainConfig(seed=0, steps=6, batch_size=4, eval_every=3)
 ANALYSED_UTTS = 4
+LATTICES = 3000
 
 
 def run_digest(cfg: EncoderConfig, dtype, tcfg: TrainConfig, train, dev) -> str:
@@ -86,12 +91,36 @@ def fingerprint(data_dir, base: EncoderConfig = TOY, tcfg: TrainConfig = TRAIN,
     return digests
 
 
+def lattice_digest(n_lattices: int = LATTICES, seed: int = 0) -> str:
+    """sha256 over the loss, feasibility flag and logit gradient of
+    ``ctc_loss`` on seeded random lattices (T 1-29, vocab 1-5, 0-11 labels),
+    with float32 and float64 logits. Short lattices and small vocabularies
+    make infeasible and repeated label sequences common."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    for _ in range(n_lattices):
+        n_frames = int(rng.integers(1, 30))
+        vocab = int(rng.integers(1, 6))
+        labels = [int(y) for y in rng.integers(1, vocab + 1, size=int(rng.integers(0, 12)))]
+        logits = rng.normal(size=(n_frames, vocab + 1)) * 3
+        for dtype in (np.float32, np.float64):
+            x = Tensor(logits.astype(dtype), requires_grad=True)
+            with Tape():
+                loss, ok = ctc_loss(x, labels)
+                if ok:
+                    backward(loss)
+            h.update(bytes([ok]) + np.float64(loss.item()).tobytes())
+            h.update(b"-" if x.grad is None else x.grad.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as data_dir:
         generate_dataset(CORPUS, data_dir)
         digests = fingerprint(data_dir)
     for key, digest in digests.items():
         print(f"{key:<20s} {digest}")
+    print(f"{'ctc lattices':<20s} {lattice_digest()}")
     return 0
 
 
