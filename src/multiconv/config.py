@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -74,6 +75,15 @@ def check_gate_width(d_inter: int, fusion: FusionKind, n_kernels: int) -> None:
         raise ConfigError(
             f"{fusion.value} fusion needs the kernel count {n_kernels} "
             f"to divide the half width {d_inter // 2}")
+
+
+def _check_finite(cfg) -> None:
+    """Reject NaN or an infinity in any float field of ``cfg``. NaN would
+    pass the range checks of ``validate``: each is an ordered comparison."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def _typed(name: str, annotation: str, value, path):
@@ -158,6 +168,7 @@ class EncoderConfig(_JsonMixin):
         return self.d_ffn if self.d_ffn else 4 * self.dim
 
     def validate(self) -> "EncoderConfig":
+        _check_finite(self)
         if self.dim < 1 or self.layers < 1 or self.heads < 1:
             raise ConfigError("dim, layers, and heads must be positive")
         if self.dim % self.heads:
@@ -166,6 +177,8 @@ class EncoderConfig(_JsonMixin):
             raise ConfigError(f"conv_block must be one of {CONV_BLOCKS}, got {self.conv_block!r}")
         fusion = parse_fusion(self.fusion)
         check_kernels(self.kernels)
+        if self.d_inter < 0 or self.d_ffn < 0:
+            raise ConfigError("d_inter and d_ffn must be non-negative (0 means the default)")
         # the baselines have no fusion, so only the parity rule applies to them
         check_gate_width(self.inter_width,
                          fusion if self.conv_block == "multiconv" else FusionKind.SUM,
@@ -195,6 +208,7 @@ class DataSpec(_JsonMixin):
     seed: int = 0
 
     def validate(self) -> "DataSpec":
+        _check_finite(self)
         if self.vocab < 1:
             raise ConfigError("vocab must be positive")
         if self.n_train < 1 or self.n_dev < 1 or self.n_test < 1:
@@ -227,6 +241,7 @@ class TrainConfig(_JsonMixin):
     target_ter: float = -1.0
 
     def validate(self) -> "TrainConfig":
+        _check_finite(self)
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
         # lr of exactly zero is legal: it freezes the parameters, which is

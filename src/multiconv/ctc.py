@@ -1,11 +1,11 @@
 """Connectionist temporal classification: loss, gradient, decoding, scoring.
 
-The loss marginalizes over all frame alignments of the label sequence via
-the forward recursion on the blank-extended state chain
-``blank, y1, blank, y2, ..., blank``; its backward rule runs the backward
-recursion and builds the analytic gradient (softmax minus state occupancy).
-All dynamic programming runs in log-space float64 regardless of the logit
-dtype; the gradient is cast back to the logit dtype.
+The loss sums over every frame alignment of the labels with the forward
+recursion on the blank-extended chain ``blank, y1, blank, ..., blank``; its
+backward rule runs the backward recursion and builds the analytic gradient
+(softmax minus state occupancy). Both are one branch-free recursion: -inf
+padding is the chain's edge and an additive 0/-inf mask the skip rule. It
+runs in log-space float64; the gradient is cast back to the logit dtype.
 
 Class 0 is the blank everywhere; real tokens are 1..vocab.
 """
@@ -28,31 +28,30 @@ def _extended_states(labels: Sequence[int]) -> np.ndarray:
     return ext
 
 
-def _skip_in(ext: np.ndarray) -> np.ndarray:
-    """Where the skip transition s-2 -> s exists: state s is a label that
-    differs from the one at s-2."""
-    skip = np.zeros(ext.shape[0], dtype=bool)
-    skip[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-    return skip
+def _skip_mask(ext: np.ndarray) -> np.ndarray:
+    """The skip rule as an additive row: 0 where s-2 -> s exists (state s is
+    a label unlike the one at s-2), -inf where it does not."""
+    mask = np.full(ext.shape[0], NEG_INF)
+    mask[2:][(ext[2:] != 0) & (ext[2:] != ext[:-2])] = 0.0
+    return mask
 
 
-def _forward_vars(lp_ext: np.ndarray, skip_in: np.ndarray) -> np.ndarray:
+def _forward_vars(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """Log-space forward variables over a chain lattice with emission
     log-probs lp_ext[T, S]: entry [t, s] sums every path that starts in state
     0 or 1 and is in state s at frame t, frame t's emission included. A path
-    moves to s from s, s-1, or from s-2 where ``skip_in[s]``."""
+    moves to s from s, s-1, or from s-2 plus the additive ``skip[s]``. Rows
+    live in a [T, S+2] buffer whose two leading -inf columns are the missing
+    predecessors of states 0 and 1; logaddexp(x, -inf) is exactly x."""
     n_frames, n_states = lp_ext.shape
-    alpha = np.full((n_frames, n_states), NEG_INF)
-    alpha[0, :2] = lp_ext[0, :2]
+    alpha = np.full((n_frames, n_states + 2), NEG_INF)
+    alpha[0, 2:4] = lp_ext[0, :2]
     for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        merged = np.logaddexp(prev, step)
-        if n_states > 2:
-            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-            merged = np.where(skip_in, np.logaddexp(merged, skip), merged)
-        alpha[t] = merged + lp_ext[t]
-    return alpha
+        prev, row = alpha[t - 1], alpha[t, 2:]
+        np.logaddexp(prev[2:], prev[1:-1], out=row)
+        np.logaddexp(row, prev[:-2] + skip, out=row)
+        row += lp_ext[t]
+    return alpha[:, 2:]
 
 
 def min_frames(labels: Sequence[int]) -> int:
@@ -100,7 +99,7 @@ def ctc_loss(logits: Tensor, labels: Sequence[int]) -> tuple[Tensor, bool]:
     lp = _log_softmax64(logits.data)
     lp_ext = lp[:, ext]  # [T, S] emission log-probs per chain state
 
-    alpha = _forward_vars(lp_ext, _skip_in(ext))
+    alpha = _forward_vars(lp_ext, _skip_mask(ext))
     # a complete path ends in the final blank or in the last label
     log_like = np.logaddexp.reduce(alpha[-1, -2:])
     if log_like == NEG_INF:
@@ -110,7 +109,7 @@ def ctc_loss(logits: Tensor, labels: Sequence[int]) -> tuple[Tensor, bool]:
     def bwd(g):
         # The backward variables are the forward ones of the lattice with frames
         # and states reversed; the reversed chain is that of the reversed labels.
-        beta = _forward_vars(lp_ext[::-1, ::-1], _skip_in(ext[::-1]))[::-1, ::-1]
+        beta = _forward_vars(lp_ext[::-1, ::-1], _skip_mask(ext[::-1]))[::-1, ::-1]
         # state occupancy; alpha and beta both include the frame-t emission
         with np.errstate(invalid="ignore"):
             gamma = np.exp(alpha + beta - lp_ext - log_like)

@@ -187,6 +187,29 @@ def ctc_grad_brute_force(logits: np.ndarray, labels: list[int]) -> np.ndarray | 
     return probs - occupancy
 
 
+def ctc_forward_vars_reference(lp_ext: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """CTC forward variables over the chain ``ext`` with emission log-probs
+    lp_ext[T, S], the chain's edge and the skip rule written as control flow:
+    each frame shifts the previous row by one and two states with
+    ``concatenate`` and takes the skip only where a boolean rule allows it
+    (state s is a label that differs from the one at s-2)."""
+    neg_inf = float("-inf")
+    n_frames, n_states = lp_ext.shape
+    skip_in = np.zeros(n_states, dtype=bool)
+    skip_in[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
+    alpha = np.full((n_frames, n_states), neg_inf)
+    alpha[0, :2] = lp_ext[0, :2]
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        step = np.concatenate(([neg_inf], prev[:-1]))
+        merged = np.logaddexp(prev, step)
+        if n_states > 2:
+            skip = np.concatenate(([neg_inf, neg_inf], prev[:-2]))
+            merged = np.where(skip_in, np.logaddexp(merged, skip), merged)
+        alpha[t] = merged + lp_ext[t]
+    return alpha
+
+
 def edit_distance_recursive(a, b) -> int:
     """Levenshtein distance by memoized recursion."""
 

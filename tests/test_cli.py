@@ -71,6 +71,14 @@ def test_gen_data_refuses_to_clobber_without_force(tmp_path, capsys):
     assert main(["gen-data", "--out", str(out), "--force"] + DATA_FLAGS) == 0
 
 
+def test_gen_data_rejects_a_nan_noise_std_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    # the last --noise-std wins
+    assert main(["gen-data", "--out", str(out)] + DATA_FLAGS + ["--noise-std", "nan"]) == 2
+    assert "noise_std must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(workspace, capsys):
     _, run = workspace
     for name in ("encoder.json", "train.json", "model.mckpt", "metrics.jsonl"):

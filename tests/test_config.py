@@ -149,6 +149,10 @@ def test_float_fields_accept_json_integers(tmp_path):
     dict(vocab=0),
     dict(dropout=1.0),
     dict(dropout=-0.1),
+    dict(dropout=float("nan")),
+    dict(dropout=float("inf")),
+    dict(d_ffn=-5),                 # 0 means the default width; below it is nothing
+    dict(d_inter=-4, fusion="sum"),  # even, so the gate-width rule alone passes it
 ])
 def test_encoder_validation(bad):
     with pytest.raises(ConfigError):
@@ -162,6 +166,8 @@ def test_encoder_validation(bad):
     dict(min_tokens=5, max_tokens=4),
     dict(min_tokens=1, frames_per_token=6),  # 6 frames < subsampler floor
     dict(noise_std=-0.5),
+    dict(noise_std=float("nan")),   # NaN passes every ordered comparison
+    dict(noise_std=float("inf")),
 ])
 def test_data_spec_validation(bad):
     with pytest.raises(ConfigError):
@@ -190,6 +196,11 @@ def test_subsampler_floor_is_where_its_output_reaches_one_frame():
     dict(beta2=-0.1),
     dict(clip_norm=0.0),
     dict(eval_every=0),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(eps=float("nan")),
+    dict(clip_norm=float("nan")),
+    dict(target_ter=float("nan")),
 ])
 def test_train_config_validation(bad):
     with pytest.raises(ConfigError):

@@ -127,6 +127,29 @@ def test_gradient_matches_brute_force_enumeration():
     assert checked >= 50 and repeats and empty
 
 
+def test_recursion_matches_the_reference_in_both_directions():
+    """The -inf-padded recursion is bit-identical to the concatenate/where
+    reference, forwards (alpha) and on the reversed lattice (beta)."""
+    rng = np.random.default_rng(23)
+    lattices = [(1, []), (1, [2]), (3, []), (4, [2, 2]), (2, [1, 1]), (1, [1, 2, 3])]
+    for _ in range(300):
+        vocab = int(rng.integers(1, 5))
+        labels = [int(v) for v in rng.integers(1, vocab + 1, size=rng.integers(0, 9))]
+        lattices.append((int(rng.integers(1, 25)), labels))
+    feasible = infeasible = repeats = 0
+    for n_frames, labels in lattices:
+        ext = ctc._extended_states(labels)
+        lp_ext = log_softmax(rng.normal(size=(n_frames, max(labels, default=0) + 1)) * 3)[:, ext]
+        for lp, chain in ((lp_ext, ext), (lp_ext[::-1, ::-1], ext[::-1])):
+            got = ctc._forward_vars(lp, ctc._skip_mask(chain))
+            np.testing.assert_array_equal(got, oracles.ctc_forward_vars_reference(lp, chain),
+                                          err_msg=f"T={n_frames} labels={labels}")
+        feasible += ctc_feasible(n_frames, labels)
+        infeasible += not ctc_feasible(n_frames, labels)
+        repeats += any(a == b for a, b in zip(labels, labels[1:]))
+    assert feasible > 100 and infeasible > 50 and repeats > 50
+
+
 def _count_recursions(monkeypatch):
     calls = []
     real = ctc._forward_vars

@@ -73,18 +73,21 @@ def _src_digest(checkout: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run; its result line plus the parts of its
-    record that a comparison needs."""
+    record that a comparison needs. A run that printed no metrics (it
+    raised, or printed no result) stops the whole comparison."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if len(lines) < 2:
-        raise SystemExit(f"bench_pair: {workload} seed {seed} in {checkout} printed no result:\n"
+    result = json.loads(lines[-1]) if len(lines) >= 2 else {"metrics": {}}
+    if not result["metrics"]:
+        raise SystemExit(f"bench_pair: {workload} seed {seed} on the {side} side exited "
+                         f"{proc.returncode} with no metrics; its stderr ends:\n"
                          f"{proc.stderr[-2000:]}")
-    record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    record = json.loads(lines[-2])
     detail = record.get("detail", {})
     return {
         "correct": result["correct"],
@@ -145,6 +148,8 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
 
+    if args.scratch is not None:
+        args.scratch.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench_pair-", dir=args.scratch))
     try:
         dirs = {side: work / side for side in SIDES}
@@ -165,7 +170,7 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     started = time.perf_counter()
-                    pair[side] = _run(dirs[side], workload, seed, seconds)
+                    pair[side] = _run(dirs[side], side, workload, seed, seconds)
                     env = env or pair[side]["env"]
                     del pair[side]["env"]
                     print(f"{workload} seed {seed} {side}: "
