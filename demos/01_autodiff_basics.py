@@ -12,7 +12,7 @@ Run it with:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from multiconv import Tape, Tensor, backward
-from multiconv.autodiff import add_bias, matmul, tsum
+from multiconv.autodiff import matmul, tsum
 from multiconv.gradcheck import numeric_gradient
 from multiconv.layers import swish
 
@@ -26,17 +26,18 @@ x = Tensor(rng.normal(size=(5, 4)))  # inputs stay untracked
 
 
 def forward():
-    hidden = swish(add_bias(matmul(x, w1), b1))
+    hidden = swish(matmul(x, w1, b1))
     return tsum(matmul(hidden, w2))
 
 
 # 2. recording only happens inside a `with Tape():` block
 with Tape() as tape:
     loss = forward()
+    n_nodes = len(tape)  # backward drops the nodes it replays
     backward(loss)
 
 print(f"loss          {loss.item():+.6f}")
-print(f"tape recorded {len(tape)} nodes")
+print(f"tape recorded {n_nodes} nodes")
 print(f"dL/db1        {np.array2string(b1.grad, precision=4)}")
 
 # 3. outside a tape the same ops run forward-only, gradients untouched

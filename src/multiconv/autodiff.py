@@ -11,6 +11,9 @@ inference passes avoid graph overhead. A tape may also carry the generator
 that dropout draws its masks from, so a training pass is the only one that
 drops anything. Custom layers register their own backward rules through
 :func:`record`.
+
+Every op is one node. ``matmul`` adds an optional bias inside its node, and
+``add`` sums any number of tensors in one; there is no implicit broadcasting.
 """
 
 from __future__ import annotations
@@ -189,57 +192,42 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g over the batch axes that numpy broadcasting introduced."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+def check_bias(op: str, b: Tensor, out: np.ndarray) -> None:
+    """An op's bias must hold one value per channel (last axis) of its output."""
+    if b.shape != out.shape[-1:]:
+        raise ShapeError(f"{op}: cannot add bias {b.shape} to {out.shape}")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with broadcastable batch extents.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product over equal batch extents, plus ``bias[C]`` added to
+    every row when given, as one node.
 
-    Backward: dL/da = g @ b^T, dL/db = a^T @ g (batch axes summed back).
+    Backward: dL/da = g @ b^T, dL/db = a^T @ g, dL/dbias = g summed over rows.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
+    if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul needs >=2-d operands of equal batch extents, "
+                         f"got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as exc:
-        raise ShapeError(f"matmul: batch extents of {a.shape} and {b.shape} do not broadcast") from exc
-    out = Tensor(a.data @ b.data)
+    y = a.data @ b.data
+    if bias is not None:
+        check_bias("matmul", bias, y)
+        y += bias.data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        grads = g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        return grads if bias is None else (*grads, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    return record(out, (a, b), bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; shapes must match exactly (no implicit broadcasting)."""
-    _require_same_shape("add", a, b)
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        return g, g.copy()
-
-    return record(out, (a, b), bwd)
+    return record(Tensor(y), (a, b) if bias is None else (a, b, bias), bwd)
 
 
-def add_n(parts: Sequence[Tensor]) -> Tensor:
-    """Elementwise sum of equally shaped tensors, as one node."""
+def add(*parts: Tensor) -> Tensor:
+    """Elementwise sum of equally shaped tensors (no implicit broadcasting),
+    as one node."""
     if not parts:
-        raise ContractError("add_n: empty part list")
+        raise ContractError("add: no parts")
     for p in parts[1:]:
-        _require_same_shape("add_n", parts[0], p)
+        _require_same_shape("add", parts[0], p)
     acc = parts[0].data.copy()
     for p in parts[1:]:
         acc += p.data
@@ -247,7 +235,7 @@ def add_n(parts: Sequence[Tensor]) -> Tensor:
     def bwd(g):
         return [g] + [g.copy() for _ in parts[1:]]
 
-    return record(Tensor(acc), tuple(parts), bwd)
+    return record(Tensor(acc), parts, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -270,18 +258,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return record(out, (a,), bwd)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a vector b[C] to every row of x[..., C] (explicit row broadcast)."""
-    if b.ndim != 1 or x.ndim < 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: cannot add bias {b.shape} to {x.shape}")
-    out = Tensor(x.data + b.data)
-
-    def bwd(g):
-        return g, g.sum(axis=tuple(range(g.ndim - 1)))
-
-    return record(out, (x, b), bwd)
 
 
 def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:

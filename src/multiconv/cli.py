@@ -140,8 +140,15 @@ def _encoder_from_args(args, n_mels: int | None = None,
     return cfg.validate()
 
 
-def _load_trained(model_dir: Path):
+def _load_trained(model_dir: Path, data_dir: Path):
+    """The trained model in ``model_dir``, once its config is known to fit
+    the corpus in ``data_dir``."""
     cfg = EncoderConfig.load(model_dir / "encoder.json")
+    data_spec = load_spec(data_dir)
+    if cfg.vocab != data_spec.vocab or cfg.n_mels != data_spec.n_mels:
+        raise ConfigError(
+            f"model expects vocab={cfg.vocab} n_mels={cfg.n_mels} but the "
+            f"dataset has vocab={data_spec.vocab} n_mels={data_spec.n_mels}")
     model = build_model(cfg)
     load_model(model_dir / "model.mckpt", model)
     return cfg, model
@@ -181,12 +188,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg, model = _load_trained(Path(args.model))
-    data_spec = load_spec(args.data)
-    if cfg.vocab != data_spec.vocab or cfg.n_mels != data_spec.n_mels:
-        raise ConfigError(
-            f"model expects vocab={cfg.vocab} n_mels={cfg.n_mels} but the "
-            f"dataset has vocab={data_spec.vocab} n_mels={data_spec.n_mels}")
+    cfg, model = _load_trained(args.model, args.data)
     utts = load_split(args.data, args.split)
     result = evaluate(model, utts)
     print(f"split={args.split} utterances={result.n_utterances} "
@@ -200,7 +202,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagonality(args) -> int:
-    cfg, model = _load_trained(Path(args.model))
+    cfg, model = _load_trained(args.model, args.data)
     utts = load_split(args.data, args.split)
     matrix = analysis.diagonality_by_layer_head(model, utts, max_utts=args.utts)
     for layer in range(cfg.layers):
@@ -214,7 +216,7 @@ def _cmd_diagonality(args) -> int:
 
 
 def _cmd_gate_importance(args) -> int:
-    cfg, model = _load_trained(Path(args.model))
+    cfg, model = _load_trained(args.model, args.data)
     utts = load_split(args.data, args.split)
     importance = analysis.kernel_importance(model, utts, max_utts=args.utts)
     header = "  ".join(f"k={k}" for k in cfg.kernels)

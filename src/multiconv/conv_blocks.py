@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add_bias, add_n, mul, record, split_channels
+from .autodiff import Tensor, add, mul, record, split_channels
 from .config import FusionKind, check_gate_width, check_kernels
 from .errors import ConfigError, ShapeError
 from .layers import (
@@ -200,8 +200,8 @@ class Mcsgu(Module):
         # (as the gradient audit does) reaches the folded kernel
         if self.fusion is FusionKind.SUM:
             w = fold_taps([conv.weight for conv in self.branches], k_max, stack=False)
-            b = add_n([conv.bias for conv in self.branches])
-            fused = add_bias(depthwise_conv(z_r, w), b)
+            b = add(*(conv.bias for conv in self.branches))
+            fused = depthwise_conv(z_r, w, b)
         elif self.fusion is FusionKind.WEIGHTED:
             alpha = softmax(self.gate(z_r))
             observe(self, alpha.data)

@@ -30,8 +30,6 @@ from .autodiff import (
     Tape,
     Tensor,
     add,
-    add_bias,
-    add_n,
     backward,
     matmul,
     mul,
@@ -182,19 +180,14 @@ def _op_cases(seed: int) -> list[_Case]:
     b242 = rng.normal(size=(2, 4, 2))
     case("matmul.lhs", lambda t: red(matmul(t, Tensor(b45))), a34)
     case("matmul.rhs", lambda t: red(matmul(Tensor(a34), t)), b45)
+    case("matmul.bias", lambda t: red(matmul(Tensor(a34), Tensor(b45), t)), rng.normal(size=5))
     bat = rng.normal(size=(2, 3, 4))
     case("matmul.batched", lambda t: red(matmul(t, Tensor(b242))), bat)
-    case("matmul.broadcast", lambda t: red(matmul(Tensor(bat), t)), rng.normal(size=(4, 3)))
 
     x35 = rng.normal(size=(3, 5))
-    bias5 = rng.normal(size=5)
-    x234 = rng.normal(size=(2, 3, 4))
     case("add", lambda t: red(add(t, Tensor(x35))), rng.normal(size=(3, 5)))
     case("mul", lambda t: red(mul(t, Tensor(x35))), rng.normal(size=(3, 5)))
     case("scale", lambda t: red(scale(t, -1.7)), rng.normal(size=(4, 2)))
-    case("add_bias.x", lambda t: red(add_bias(t, Tensor(bias5))), x35.copy())
-    case("add_bias.b", lambda t: red(add_bias(Tensor(x35), t)), bias5.copy())
-    case("add_bias.3d", lambda t: red(add_bias(Tensor(x234), t)), rng.normal(size=4))
 
     case("slice_channels", lambda t: red(slice_channels(t, 1, 4)), rng.normal(size=(4, 6)))
     case("split_channels",
@@ -249,7 +242,7 @@ def _op_cases(seed: int) -> list[_Case]:
 
     # from arrays drawn above, and reduced at a shape already seen, so adding
     # this case moves no random draw of the cases before it
-    case("add_n", lambda t: red(add_n([t, Tensor(x35), mul(t, t)])), a34 @ b45)
+    case("add.parts", lambda t: red(add(t, Tensor(x35), mul(t, t))), a34 @ b45)
     return cases
 
 

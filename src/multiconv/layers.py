@@ -9,6 +9,10 @@ order, so a seed pins the whole model. Parameters are built in float64;
 Scalar constants are python floats throughout; numpy float64 scalars would
 silently promote float32 activations under NumPy 2 promotion rules.
 
+Every layer records one tape node, which adds its bias: ``Linear`` calls
+``matmul(x, W, b)``, and the convolutions and ``LayerNorm`` add theirs inside
+their own ops.
+
 Every module is called as ``module(x)``. :func:`dropout` draws its masks
 from the active tape's generator, and modules hand diagnostic arrays to
 :func:`observe`, which records them only inside an :func:`observing` block.
@@ -28,7 +32,7 @@ import threading
 import numpy as np
 from scipy import special
 
-from .autodiff import (FLOAT_DTYPES, Tape, Tensor, add_bias, matmul, mul, record, reshape,
+from .autodiff import (FLOAT_DTYPES, Tape, Tensor, check_bias, matmul, mul, record, reshape,
                        split_channels)
 from .config import check_kernels
 from .errors import ConfigError, ContractError, ShapeError
@@ -246,7 +250,7 @@ class Linear(Module):
         self.bias = _uniform(rng, (d_out,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add_bias(matmul(x, self.weight), self.bias)
+        return matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -284,9 +288,10 @@ class LayerNorm(Module):
         return record(out, (x, gamma, beta), bwd)
 
 
-def depthwise_conv(x: Tensor, w: Tensor) -> Tensor:
-    """Per-channel convolution over time of x[T, C] with w[C, k], same-length
-    zero padding (k odd): out[t, c] = sum_j x[t + j - k//2, c] * w[c, j].
+def depthwise_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Per-channel convolution over time of x[T, C] with w[C, k] and bias
+    b[C], same-length zero padding (k odd):
+    out[t, c] = sum_j x[t + j - k//2, c] * w[c, j] + b[c].
 
     Runs as one shifted multiply-add per tap, forward and backward.
     """
@@ -298,7 +303,8 @@ def depthwise_conv(x: Tensor, w: Tensor) -> Tensor:
     acc = np.zeros((t, c), dtype=x.data.dtype)
     for j in range(k):
         acc += xpad[j:j + t] * w.data[:, j]
-    out = Tensor(acc)
+    check_bias("depthwise_conv", b, acc)
+    acc += b.data
 
     def bwd(g):
         dw = np.empty_like(w.data)
@@ -307,9 +313,9 @@ def depthwise_conv(x: Tensor, w: Tensor) -> Tensor:
         gpad = np.zeros_like(xpad)
         for j in range(k):
             gpad[j:j + t] += g * w.data[:, j]
-        return gpad[half:half + t], dw
+        return gpad[half:half + t], dw, g.sum(axis=0)
 
-    return record(out, (x, w), bwd)
+    return record(Tensor(acc), (x, w, b), bwd)
 
 
 def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:
@@ -326,10 +332,10 @@ def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:
     return np.ascontiguousarray(win)
 
 
-def grouped_conv(x: Tensor, w: Tensor) -> Tensor:
+def grouped_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Grouped convolution over time of x[T, G*I] with w[G, O, I, k], same-length
-    zero padding (k odd). Output block g (channels g*O .. g*O+O-1) is computed
-    from input block g only.
+    zero padding (k odd), plus the bias b[G*O] when given. Output block g
+    (channels g*O .. g*O+O-1) is computed from input block g only.
 
     Runs as im2col plus one batched matmul over the groups. Backward gets dW
     from the saved columns by a second batched matmul, and dx as the same
@@ -341,16 +347,20 @@ def grouped_conv(x: Tensor, w: Tensor) -> Tensor:
     cols = _im2col(x.data, k, groups)  # [G, T, k*I]
     w2 = w.data.transpose(0, 1, 3, 2).reshape(groups, opg, k * ipg)
     y = cols @ w2.transpose(0, 2, 1)  # [G, T, O]
-    out = Tensor(y.transpose(1, 0, 2).reshape(t, groups * opg))
+    out = y.transpose(1, 0, 2).reshape(t, groups * opg)
+    if b is not None:
+        check_bias("grouped_conv", b, out)
+        out += b.data
 
     def bwd(g):
         g3 = g.reshape(t, groups, opg).transpose(1, 2, 0)  # [G, O, T]
         dw = (g3 @ cols).reshape(groups, opg, k, ipg).transpose(0, 1, 3, 2)
         flipped = w.data[..., ::-1].transpose(0, 2, 3, 1).reshape(groups, ipg, k * opg)
         dx = _im2col(g, k, groups) @ flipped.transpose(0, 2, 1)  # [G, T, I]
-        return dx.transpose(1, 0, 2).reshape(t, groups * ipg), np.ascontiguousarray(dw)
+        grads = dx.transpose(1, 0, 2).reshape(t, groups * ipg), np.ascontiguousarray(dw)
+        return grads if b is None else (*grads, g.sum(axis=0))
 
-    return record(out, (x, w), bwd)
+    return record(Tensor(out), (x, w) if b is None else (x, w, b), bwd)
 
 
 class DepthwiseConv1d(Module):
@@ -371,7 +381,7 @@ class DepthwiseConv1d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.channels:
             raise ShapeError(f"depthwise conv over {self.channels} channels got {x.shape}")
-        return add_bias(depthwise_conv(x, self.weight), self.bias)
+        return depthwise_conv(x, self.weight, self.bias)
 
 
 class GroupedConv1d(Module):
@@ -398,7 +408,7 @@ class GroupedConv1d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.in_channels:
             raise ShapeError(f"grouped conv over {self.in_channels} channels got {x.shape}")
-        return add_bias(grouped_conv(x, self.weight), self.bias)
+        return grouped_conv(x, self.weight, self.bias)
 
 
 class Conv2dDown(Module):

@@ -11,8 +11,6 @@ from multiconv.autodiff import (
     Tape,
     Tensor,
     add,
-    add_bias,
-    add_n,
     backward,
     matmul,
     mul,
@@ -24,6 +22,7 @@ from multiconv.autodiff import (
     tsum,
 )
 from multiconv.errors import ContractError, ShapeError, StateError
+from multiconv.layers import depthwise_conv, grouped_conv
 
 RNG = np.random.default_rng(7)
 
@@ -65,17 +64,6 @@ def test_matmul_hand_gradient():
     assert np.array_equal(b.grad, np.array([[4.0, 4.0], [6.0, 6.0]]))
 
 
-def test_matmul_batch_broadcast_gradient():
-    a = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
-    with Tape():
-        backward(tsum(matmul(a, b)))
-    g = np.ones((2, 3, 5))
-    expect_b = np.einsum("nik,nij->kj", a.data, g)
-    assert np.allclose(b.grad, expect_b, atol=1e-12)
-    assert a.grad.shape == (2, 3, 4)
-
-
 def test_same_tensor_used_twice_accumulates():
     x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(3, 1), requires_grad=True)
     with Tape():
@@ -89,6 +77,20 @@ def test_add_duplicate_input_does_not_alias():
     with Tape():
         backward(tsum(add(x, x)))
     assert np.array_equal(x.grad, 2.0 * np.ones((2, 2)))
+
+
+def test_add_of_many_parts_is_one_node():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    y = Tensor(np.full((2, 2), 3.0), requires_grad=True)
+    with Tape() as tape:
+        total = add(x, y, x)
+        assert len(tape) == 1
+        backward(tsum(total))
+    assert np.array_equal(total.data, np.full((2, 2), 5.0))
+    assert np.array_equal(x.grad, np.full((2, 2), 2.0))
+    assert np.array_equal(y.grad, np.ones((2, 2)))
+    with pytest.raises(ContractError):
+        add()
 
 
 def test_gradients_accumulate_across_tapes():
@@ -228,11 +230,12 @@ def test_slice_split_concat_roundtrip_and_grads():
     assert np.array_equal(x.grad, np.ones((4, 6)))
 
 
-def test_add_bias_sums_leading_axes():
+def test_matmul_bias_sums_leading_axes():
     x = Tensor(RNG.normal(size=(2, 3, 4)))
+    eye = Tensor(np.stack([np.eye(4)] * 2))
     b = Tensor(np.zeros(4), requires_grad=True)
     with Tape():
-        backward(tsum(add_bias(x, b)))
+        backward(tsum(matmul(x, eye, b)))
     assert np.array_equal(b.grad, np.full(4, 6.0))
 
 
@@ -255,10 +258,13 @@ def test_reshape_and_swapaxes_grads_restore_layout():
     lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2)))),
     lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2)))),
     lambda: matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))),
-    lambda: add_bias(Tensor(np.ones((2, 3))), Tensor(np.ones(4))),
-    lambda: add_n([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))]),
+    lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(4))),
+    lambda: add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
     lambda: reshape(Tensor(np.ones((2, 3))), (7,)),
-    lambda: add_bias(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))),
+    lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((2, 3)))),
+    lambda: depthwise_conv(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(4))),
+    lambda: grouped_conv(Tensor(np.ones((5, 4))), Tensor(np.ones((2, 1, 2, 3))),
+                         Tensor(np.ones(4))),
 ])
 def test_shape_errors(build):
     with pytest.raises(ShapeError):

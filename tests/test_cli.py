@@ -173,6 +173,33 @@ def test_gate_importance_needs_weighted_fusion(workspace, tmp_path, capsys):
     assert "weighted" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def other_corpora(tmp_path_factory):
+    """Corpora whose vocabulary or feature bins differ from the workspace's."""
+    root = tmp_path_factory.mktemp("other_corpora")
+    corpora = {}
+    for name, flag, value in (("vocab", "--vocab", "4"), ("n_mels", "--n-mels", "9")):
+        flags = DATA_FLAGS + [flag, value, "--n-train", "2", "--n-dev", "2", "--n-test", "1"]
+        assert main(["gen-data", "--out", str(root / name)] + flags) == 0
+        corpora[name] = root / name
+    return corpora
+
+
+@pytest.mark.parametrize("command", [["eval"], ["analyze", "diagonality"],
+                                     ["analyze", "gate-importance"]], ids=" ".join)
+@pytest.mark.parametrize("field,dataset", [("vocab", "vocab=4 n_mels=7"),
+                                           ("n_mels", "vocab=3 n_mels=9")],
+                         ids=["vocab", "n_mels"])
+def test_model_and_data_must_agree_for_every_command_that_loads_a_model(
+        workspace, other_corpora, command, field, dataset, capsys):
+    _, run = workspace
+    capsys.readouterr()
+    code = main([*command, "--data", str(other_corpora[field]), "--model", str(run)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: model expects vocab=3 n_mels=7 but the dataset has {dataset}\n")
+
+
 def test_train_rejects_mismatched_config_file(workspace, tmp_path, capsys):
     data, run = workspace
     other = tmp_path / "other"

@@ -1,7 +1,9 @@
-"""The bit-identity fingerprints: repeatable, and moved by their seeds."""
+"""The bit-identity fingerprints: repeatable, moved by their seeds, and
+printed under the BLAS thread settings they ran with."""
 
 import dataclasses
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -47,3 +49,17 @@ def test_lattice_digest_repeats_and_follows_the_seed():
     first = fingerprint.lattice_digest(200)
     assert fingerprint.lattice_digest(200) == first
     assert fingerprint.lattice_digest(200, seed=1) != first
+
+
+def test_the_blas_thread_settings_are_printed_before_the_digests(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(fingerprint, "generate_dataset", lambda spec, out: None)
+    monkeypatch.setattr(fingerprint, "fingerprint", lambda data_dir: {"total": "d1"})
+    monkeypatch.setattr(fingerprint, "lattice_digest", lambda: "d2")
+    assert fingerprint.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["blas", "threads", "OPENBLAS_NUM_THREADS=3", "OMP_NUM_THREADS=1",
+                                "MKL_NUM_THREADS=unset", f"nproc={os.cpu_count()}"]
+    assert [line.split()[-1] for line in lines[1:]] == ["d1", "d2"]

@@ -311,14 +311,34 @@ def test_depthwise_conv_op_gradients_match_grouped_oracle(t_len, kernel):
     x = RNG.normal(size=(t_len, c))
     w = RNG.normal(size=(c, kernel))
     g = RNG.normal(size=(t_len, c))
+    b = RNG.normal(size=c)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True)
     with Tape():
-        y = depthwise_conv(xt, wt)
+        y = depthwise_conv(xt, wt, bt)
         backward(tsum(mul(y, Tensor(g))))
-    assert np.allclose(y.data, oracles.depthwise_conv_loops(x, w, None), atol=1e-12)
+    assert np.allclose(y.data, oracles.depthwise_conv_loops(x, w, b), atol=1e-12)
     dx, dw = oracles.grouped_conv_grads_loops(x, w.reshape(c, 1, 1, kernel), g, c)
     assert np.allclose(xt.grad, dx, atol=1e-12)
     assert np.allclose(wt.grad, dw.reshape(c, kernel), atol=1e-12)
+    assert np.allclose(bt.grad, g.sum(axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Linear(6, 4, rng),
+    lambda rng: DepthwiseConv1d(6, 3, rng),
+    lambda rng: GroupedConv1d(6, 4, 3, 2, rng),
+], ids=["linear", "depthwise", "grouped"])
+def test_each_layer_records_one_node_that_adds_its_bias(make):
+    layer = make(np.random.default_rng(9))
+    x = Tensor(RNG.normal(size=(7, 6)), requires_grad=True)
+    with Tape() as tape:
+        y = layer(x)
+        assert len(tape) == 1
+    g = RNG.normal(size=y.shape)
+    with Tape():
+        backward(tsum(mul(layer(x), Tensor(g))))
+    assert np.array_equal(layer.bias.grad, g.sum(axis=0))
 
 
 def test_grouped_conv_validation():

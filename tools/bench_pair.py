@@ -11,14 +11,17 @@ untracked, not-ignored files. For every ``WORKLOAD:PAIRS`` argument the two
 sides then take turns running ``perfbench/run.py --trace 0`` from their own
 directory, one pair per seed from 41 upwards, each run as long as
 ``BENCHMARK.json``'s ``run_seconds``. The side that runs first alternates
-from pair to pair, so a drift in machine speed falls on both. The
+from pair to pair, so a drift in machine speed falls on both. After its
+pairs, each workload gets one traced run per side (``--trace 1``, seed 3),
+which gives the per-layer metrics and runs the tracer's own checks. The
 directories are removed at the end.
 
 The output holds both revisions, the environment of the runs (``nproc``,
 BLAS thread settings, numpy and scipy versions), and for each workload every
-run's end-to-end metrics and checks. For every end-to-end metric of
+run's metrics and failed checks. For every end-to-end metric of
 ``BENCHMARK.json`` it gives each side's median and interquartile range and
-the number of pairs in which the head side was better.
+the number of pairs in which the head side was better. A run that prints no
+metrics, traced or not, stops the comparison and writes nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 FIRST_SEED = 41
+TRACE_SEED = 3
 
 
 def _git(*args: str) -> str:
@@ -73,18 +77,20 @@ def _src_digest(checkout: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-def _run(checkout: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its result line plus the parts of its
-    record that a comparison needs. A run that printed no metrics (it
-    raised, or printed no result) stops the whole comparison."""
+def _run(checkout: Path, side: str, workload: str, seed: int, seconds: float,
+         traced: bool = False) -> dict:
+    """One perfbench run; its result line plus the parts of its record that
+    a comparison needs. A run that printed no metrics (it raised, or printed
+    no result) stops the whole comparison."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(int(traced))],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if len(lines) >= 2 else {"metrics": {}}
     if not result["metrics"]:
-        raise SystemExit(f"bench_pair: {workload} seed {seed} on the {side} side exited "
+        kind = "traced " if traced else ""
+        raise SystemExit(f"bench_pair: {kind}{workload} seed {seed} on the {side} side exited "
                          f"{proc.returncode} with no metrics; its stderr ends:\n"
                          f"{proc.stderr[-2000:]}")
     record = json.loads(lines[-2])
@@ -162,25 +168,33 @@ def main(argv=None) -> int:
 
         workloads = {}
         env = None
+
+        def run(pair: dict, side: str, workload: str, traced: bool = False) -> None:
+            nonlocal env
+            started = time.perf_counter()
+            pair[side] = _run(dirs[side], side, workload, pair["seed"], seconds, traced)
+            env = env or pair[side]["env"]
+            del pair[side]["env"]
+            print(f"{'traced ' if traced else ''}{workload} seed {pair['seed']} {side}: "
+                  f"{time.perf_counter() - started:.0f} s, correct={pair[side]['correct']}",
+                  file=sys.stderr)
+
         for workload, count in plan:
             pairs = []
             for i in range(count):
-                seed = FIRST_SEED + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0]}
+                pair = {"seed": FIRST_SEED + i, "first": order[0]}
                 for side in order:
-                    started = time.perf_counter()
-                    pair[side] = _run(dirs[side], side, workload, seed, seconds)
-                    env = env or pair[side]["env"]
-                    del pair[side]["env"]
-                    print(f"{workload} seed {seed} {side}: "
-                          f"{time.perf_counter() - started:.0f} s, correct={pair[side]['correct']}",
-                          file=sys.stderr)
+                    run(pair, side, workload)
                 pairs.append(pair)
+            trace = {"seed": TRACE_SEED, "first": SIDES[0]}
+            for side in SIDES:
+                run(trace, side, workload, traced=True)
             workloads[workload] = {
                 "seconds": seconds,
                 "summary": summarise(pairs, bench["end_to_end"]),
                 "pairs": pairs,
+                "traced": trace,
             }
     finally:
         shutil.rmtree(work, ignore_errors=True)

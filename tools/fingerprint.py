@@ -16,6 +16,11 @@ random lattices: each loss, feasibility flag and float32/float64 logit
 gradient, infeasible and repeated label sequences included. Run it on two
 revisions and compare the output.
 
+The training digests depend on the BLAS thread count. Run as a script, it
+sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+to 1 where they are unset, before numpy loads, and its first line gives the
+three values and ``nproc``. Compare only runs whose first lines agree.
+
 The script uses only the package's public functions, so the same file runs
 on earlier revisions too.
 """
@@ -25,11 +30,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # importing the module leaves the environment alone
+    for _var in BLAS_VARS:
+        os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -114,7 +125,14 @@ def lattice_digest(n_lattices: int = LATTICES, seed: int = 0) -> str:
     return h.hexdigest()
 
 
+def blas_line() -> str:
+    """The BLAS thread settings and CPU count that the digests ran under."""
+    settings = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_VARS)
+    return f"{'blas threads':<20s} {settings} nproc={os.cpu_count()}"
+
+
 def main() -> int:
+    print(blas_line(), flush=True)
     with tempfile.TemporaryDirectory() as data_dir:
         generate_dataset(CORPUS, data_dir)
         digests = fingerprint(data_dir)
