@@ -298,11 +298,12 @@ def depthwise_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     t, c = x.shape
     k = w.shape[1]
     half = k // 2
+    taps = np.ascontiguousarray(w.data.T)  # [k, C]: each tap one contiguous row
     xpad = np.zeros((t + k - 1, c), dtype=x.data.dtype)
     xpad[half:half + t] = x.data
     acc = np.zeros((t, c), dtype=x.data.dtype)
     for j in range(k):
-        acc += xpad[j:j + t] * w.data[:, j]
+        acc += xpad[j:j + t] * taps[j]
     check_bias("depthwise_conv", b, acc)
     acc += b.data
 
@@ -312,7 +313,7 @@ def depthwise_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             dw[:, j] = np.einsum("tc,tc->c", xpad[j:j + t], g)
         gpad = np.zeros_like(xpad)
         for j in range(k):
-            gpad[j:j + t] += g * w.data[:, j]
+            gpad[j:j + t] += g * taps[j]
         return gpad[half:half + t], dw, g.sum(axis=0)
 
     return record(Tensor(acc), (x, w, b), bwd)
@@ -414,7 +415,11 @@ class GroupedConv1d(Module):
 class Conv2dDown(Module):
     """3x3 convolution with stride 2 and no padding over a [T, F, C] map.
 
-    Runs as patch-gather + matmul so the hot path stays inside BLAS.
+    Runs as patch-gather + matmul inside BLAS. Patches are gathered
+    channel-last, [t, f, di, dj, C], in runs of C contiguous floats; the
+    stored [C*k*k, O] weight is permuted to that row order on each call, and
+    dW back. Backward skips dx when the input (e.g. the features) does not
+    require grad.
     """
 
     KERNEL = 3
@@ -440,22 +445,26 @@ class Conv2dDown(Module):
         if t_in < k or f_in < k:
             raise ShapeError(f"conv2d input {x.shape} smaller than its {k}x{k} kernel")
         t_out, f_out = self.out_len(t_in), self.out_len(f_in)
+        c, o = self.in_channels, self.out_channels
         w, b = self.weight, self.bias
         win = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(0, 1))
-        win = win[::s, ::s]  # [t_out, f_out, C, k, k]
+        win = win[::s, ::s].transpose(0, 1, 3, 4, 2)  # [t_out, f_out, k, k, C]
         patches = np.ascontiguousarray(win).reshape(t_out * f_out, -1)
-        y = patches @ w.data + b.data
-        out = Tensor(y.reshape(t_out, f_out, self.out_channels))
+        w_rows = w.data.reshape(c, k, k, o).transpose(1, 2, 0, 3).reshape(-1, o)
+        y = patches @ w_rows + b.data
+        out = Tensor(y.reshape(t_out, f_out, o))
 
         def bwd(g):
-            g2 = g.reshape(t_out * f_out, self.out_channels)
-            dw = patches.T @ g2
+            g2 = g.reshape(t_out * f_out, o)
+            dw = (patches.T @ g2).reshape(k, k, c, o).transpose(2, 0, 1, 3).reshape(-1, o)
             db = g2.sum(axis=0)
-            gp = (g2 @ w.data.T).reshape(t_out, f_out, self.in_channels, k, k)
+            if not x.requires_grad:
+                return None, dw, db
+            gp = (g2 @ w_rows.T).reshape(t_out, f_out, k, k, c)
             dx = np.zeros_like(x.data)
             for di in range(k):
                 for dj in range(k):
-                    dx[di:di + s * t_out:s, dj:dj + s * f_out:s] += gp[:, :, :, di, dj]
+                    dx[di:di + s * t_out:s, dj:dj + s * f_out:s] += gp[:, :, di, dj]
             return dx, dw, db
 
         return record(out, (x, w, b), bwd)

@@ -132,6 +132,27 @@ def conv2d_stride2_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndar
     return out
 
 
+def conv2d_down_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """``Conv2dDown``'s forward and backward with the patches gathered in the
+    stored weight's own [C, k, k] order (the package's earlier layout):
+    returns ``(y, dx, dw, db)`` for the upstream gradient ``g`` [t, f, O].
+    The same patch-gather and matmuls, so float32 results compare bit for
+    bit wherever the sum order is the same."""
+    k, s = 3, 2
+    t_out, f_out = (x.shape[0] - 1) // 2, (x.shape[1] - 1) // 2
+    cin, cout = x.shape[2], w.shape[1]
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(0, 1))
+    patches = np.ascontiguousarray(win[::s, ::s]).reshape(t_out * f_out, -1)
+    y = (patches @ w + b).reshape(t_out, f_out, cout)
+    g2 = g.reshape(t_out * f_out, cout)
+    gp = (g2 @ w.T).reshape(t_out, f_out, cin, k, k)
+    dx = np.zeros_like(x)
+    for di in range(k):
+        for dj in range(k):
+            dx[di:di + s * t_out:s, dj:dj + s * f_out:s] += gp[:, :, :, di, dj]
+    return y, dx, patches.T @ g2, g2.sum(axis=0)
+
+
 def collapse_path(path: tuple[int, ...]) -> tuple[int, ...]:
     """CTC path collapse: merge repeats, then drop blanks (class 0)."""
     out = []

@@ -1,9 +1,11 @@
 """The pair runner: its summary (medians, quartiles and pair wins per metric),
-its traced runs, and how it handles its scratch directory and a failed run."""
+its traced runs, its step-level pairs, and how it handles its scratch
+directory and a failed run."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -51,16 +53,27 @@ def test_plan_needs_at_least_two_pairs():
             bench_pair._parse_plan([bad])
 
 
-def _fake_perfbench(calls, fail_side=None, fail_traced_only=False):
+STEP_SECTION = {"rounds": 2, "utts_per_step": 4, "workloads": {"w": {"sum": {"ratio": 0.9}}}}
+
+
+def _fake_perfbench(calls, fail_side=None, fail_traced_only=False, fail_steps=False):
     """A stand-in for ``subprocess.run`` of perfbench that appends each run's
     (side, seed, trace flag) to ``calls``. An untraced run prints a passing
     result with each end-to-end metric at 1.0; a traced run prints each
     per-layer metric at 2.0 and fails its step-time accounting check. Runs on
     ``fail_side`` (its traced runs only, with ``fail_traced_only``) report an
-    exception the way perfbench does."""
+    exception the way perfbench does. The step-level child logs ("steps",
+    base src, head src) and prints ``STEP_SECTION``, or fails with
+    ``fail_steps``."""
     spec = json.loads((bench_pair.ROOT / "BENCHMARK.json").read_text())
 
-    def run(cmd, cwd, **kwargs):
+    def run(cmd, **kwargs):
+        if cmd[1] == "-c":
+            calls.append(("steps", Path(cmd[-2]).parent.name, Path(cmd[-1]).parent.name))
+            if fail_steps:
+                return subprocess.CompletedProcess(cmd, 1, "", "MemoryError: planted\n")
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(STEP_SECTION) + "\n", "")
+        cwd = kwargs["cwd"]
         side, traced = Path(cwd).name, cmd[cmd.index("--trace") + 1] == "1"
         calls.append((side, int(cmd[cmd.index("--seed") + 1]), traced))
         if side == fail_side and (traced or not fail_traced_only):
@@ -82,14 +95,14 @@ def _fake_perfbench(calls, fail_side=None, fail_traced_only=False):
     return run
 
 
-def _stub(monkeypatch, fail_side=None, fail_traced_only=False):
+def _stub(monkeypatch, fail_side=None, fail_traced_only=False, fail_steps=False):
     """Exports that copy nothing, and the perfbench stand-in; returns the
     list its runs are logged to."""
     calls = []
     monkeypatch.setattr(bench_pair, "_export_rev", lambda rev, dest: {"rev": rev, "commit": "0"})
     monkeypatch.setattr(bench_pair, "_export_worktree", lambda dest: {"rev": "wt", "commit": "0"})
     monkeypatch.setattr(bench_pair, "subprocess", types.SimpleNamespace(
-        run=_fake_perfbench(calls, fail_side, fail_traced_only)))
+        run=_fake_perfbench(calls, fail_side, fail_traced_only, fail_steps)))
     return calls
 
 
@@ -126,7 +139,7 @@ def test_each_workload_ends_with_one_traced_run_per_side_at_seed_3(monkeypatch, 
     w_pairs = [("base", 41, False), ("head", 41, False), ("head", 42, False), ("base", 42, False)]
     v_pairs = w_pairs + [("base", 43, False), ("head", 43, False)]
     traced = [("base", 3, True), ("head", 3, True)]
-    assert calls == w_pairs + traced + v_pairs + traced
+    assert calls == w_pairs + traced + v_pairs + traced + [("steps", "base", "head")]
     workloads = json.loads(out.read_text())["workloads"]
     for name in ("w", "v"):
         trace = workloads[name]["traced"]
@@ -151,3 +164,67 @@ def test_a_traced_run_without_metrics_stops_and_is_named_as_traced(monkeypatch, 
                  "ValueError: planted failure"):
         assert part in message
     assert not out.exists()
+
+
+def test_step_pairs_run_once_after_every_workload_and_land_in_the_output(monkeypatch, tmp_path):
+    calls = _stub(monkeypatch)
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--base", "HEAD", "--out", str(out), "--scratch", str(tmp_path / "s"),
+                            "w:2"]) == 0
+    assert [c for c in calls if c[0] == "steps"] == [("steps", "base", "head")]
+    assert calls[-1][0] == "steps"
+    assert json.loads(out.read_text())["steps"] == STEP_SECTION
+
+
+def test_failed_step_pairs_stop_with_their_stderr_and_write_nothing(monkeypatch, tmp_path):
+    _stub(monkeypatch, fail_steps=True)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(["--base", "HEAD", "--out", str(out), "--scratch", str(tmp_path / "s"),
+                         "w:2"])
+    message = str(exc.value.code)
+    assert "step-level pairs exited 1" in message and "MemoryError: planted" in message
+    assert not out.exists()
+
+
+def test_alternate_warms_both_sides_then_swaps_the_first_side_each_round():
+    log, now = [], [0.0]
+
+    def clock():
+        return now[0]
+
+    def work(side, cost):
+        def run(round_):
+            log.append((side, round_))
+            now[0] += cost
+        return run
+
+    times = bench_pair.alternate({"base": work("base", 2.0), "head": work("head", 1.0)}, 3,
+                                 clock=clock)
+    assert log == [("base", 0), ("head", 0),  # the untimed warm-up
+                   ("base", 1), ("head", 1), ("head", 2), ("base", 2), ("base", 3), ("head", 3)]
+    assert times == {"base": [2.0] * 3, "head": [1.0] * 3}
+    summary = bench_pair.summarise_steps(times)
+    assert summary["ratio"] == 0.5 and summary["head_wins"] == 3 and summary["rounds"] == 3
+
+
+def test_sign_interval_takes_the_order_statistics_of_the_binomial_tail():
+    # n = 40: P(X <= 14) = 0.040 <= 0.05 < P(X <= 15) = 0.077, so the 90%
+    # interval runs from the 15th smallest to the 15th largest ratio
+    ratios = [float(i) for i in range(1, 41)][::-1]
+    assert bench_pair.sign_interval(ratios) == (15.0, 26.0)
+    assert bench_pair.sign_interval([1.0, 3.0, 2.0]) == (1.0, 3.0)  # too few: the range
+
+
+def test_step_ratios_load_two_trees_under_two_names():
+    src = bench_pair.ROOT / "src"
+    section = bench_pair.step_ratios(src, src, rounds=2, variants=bench_pair.VARIANTS[:1],
+                                     workloads=("train-toy", "decode-toy"))
+    assert section["rounds"] == 2 and section["utts_per_step"] == bench_pair.STEP_UTTS
+    for workload in ("train-toy", "decode-toy"):
+        cell = section["workloads"][workload]["sum"]
+        assert cell["rounds"] == 2 and 0 <= cell["head_wins"] <= 2
+        assert cell["ci90"][0] <= cell["ratio"] <= cell["ci90"][1]
+    base, head = sys.modules["bench_base"], sys.modules["bench_head"]
+    assert base is not head and base.Tensor is not head.Tensor
+    assert base.layers.__name__ == "bench_base.layers"

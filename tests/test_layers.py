@@ -362,6 +362,39 @@ def test_conv2d_matches_loop_oracle():
         conv(Tensor(np.ones((2, 5, 2))))  # fewer rows than the kernel
 
 
+@pytest.mark.parametrize("dtype,fwd_rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+@pytest.mark.parametrize("t_in,f_in,cin", [(9, 11, 1), (10, 12, 1), (80, 21, 1),
+                                           (9, 12, 5), (12, 9, 5), (39, 39, 64), (40, 10, 64)])
+def test_conv2d_channel_last_matches_the_channel_first_reference(dtype, fwd_rtol, t_in, f_in,
+                                                                 cin):
+    # the channel-last gather only reorders the sum of each output over K, so
+    # dx, dW and db are bit-identical to the [C, k, k] layout, and so is the
+    # forward when C = 1
+    rng = np.random.default_rng(t_in * f_in + cin)
+    conv = Conv2dDown(cin, 6, rng).astype(dtype)
+    x = rng.normal(size=(t_in, f_in, cin)).astype(dtype)
+    g = rng.normal(size=(conv.out_len(t_in), conv.out_len(f_in), 6)).astype(dtype)
+    ref_y, ref_dx, ref_dw, ref_db = oracles.conv2d_down_reference(
+        x, conv.weight.data, conv.bias.data, g)
+    grads = {}
+    for needs_dx in (True, False):
+        conv.zero_grad()
+        xt = Tensor(x, requires_grad=needs_dx)
+        with Tape() as tape:
+            y = conv(xt)
+            dx_rule = tape._nodes[-1].backward(g)[0]
+            backward(tsum(mul(y, Tensor(g))))
+        assert y.dtype == dtype and (dx_rule is None) == (not needs_dx)
+        grads[needs_dx] = (xt.grad, conv.weight.grad, conv.bias.grad)
+    assert np.max(np.abs(y.data - ref_y)) <= fwd_rtol * np.max(np.abs(ref_y))
+    if cin == 1:
+        assert np.array_equal(y.data, ref_y)
+    for got, want in zip(grads[True], (ref_dx, ref_dw, ref_db)):
+        assert got.dtype == dtype and np.array_equal(got, want)
+    assert grads[False][0] is None  # the rule computed no dx above
+    assert np.array_equal(grads[False][1], ref_dw) and np.array_equal(grads[False][2], ref_db)
+
+
 @pytest.mark.parametrize("length,expected", [(7, 1), (8, 1), (11, 2), (16, 3),
                                              (50, 11), (100, 24)])
 def test_subsampler_length_formula(length, expected):

@@ -22,13 +22,40 @@ run's metrics and failed checks. For every end-to-end metric of
 ``BENCHMARK.json`` it gives each side's median and interquartile range and
 the number of pairs in which the head side was better. A run that prints no
 metrics, traced or not, stops the comparison and writes nothing.
+
+Step-level pairs follow the end-to-end ones, under the output's ``steps``
+key. One child process loads the two exported ``src/`` trees side by side
+under two package names (``bench_base`` and ``bench_head``; every import
+inside ``multiconv`` is relative). For each of the six criterion-6 variants
+it builds the same seeded float32 model on both sides and alternates
+identical work between them, ``STEP_ROUNDS`` rounds after one untimed
+warm-up, with the side that runs first alternating from round to round:
+
+- ``train-toy`` and ``train-long``: one training step of ``STEP_UTTS``
+  utterances at that workload's corpus geometry and kernels (forward, CTC,
+  backward, clipping and an Adam step);
+- ``decode-toy``: forward plus greedy decode of the same toy utterances.
+
+Each cell gives the median of the per-round time ratios head / base, a
+distribution-free 90% interval for it from the sign test, the rounds the
+head side was faster and the round count. The alternation cancels drift in
+machine speed, which end-to-end pairs cannot resolve below ~10%. Each
+interval holds for its own cell: with 18 cells, one or two of them miss 1.0
+by a few percent even when both sides run the same tree. Limits:
+both sides share one allocator and one BLAS, so a change to the state of
+either (memory held, BLAS threads) is not isolated; each side has its own
+module globals; eval, checkpoint writes and set-up are seen only in the
+end-to-end pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -37,11 +64,33 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 FIRST_SEED = 41
 TRACE_SEED = 3
+STEP_ROUNDS = 40
+STEP_UTTS = 4
+STEP_LR = 3e-3
+# (DataSpec fields, kernels) of each step-level cell, as perfbench's workloads
+STEP_WORKLOADS = {
+    "train-toy": ({}, (3, 7, 11, 15)),
+    "train-long": ({"min_tokens": 8, "max_tokens": 16, "frames_per_token": 48, "n_mels": 20},
+                   (7, 15, 23, 31)),
+    "decode-toy": ({}, (3, 7, 11, 15)),
+}
+# (name, conv_block, fusion): the six models of acceptance criterion 6
+VARIANTS = (
+    ("sum", "multiconv", "sum"),
+    ("weighted", "multiconv", "weighted"),
+    ("concat", "multiconv", "concat"),
+    ("depth", "multiconv", "depth"),
+    ("csgu", "csgu", "depth"),
+    ("conformer", "conformer", "depth"),
+)
 
 
 def _git(*args: str) -> str:
@@ -132,6 +181,129 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def sign_interval(ratios: list[float]) -> tuple[float, float]:
+    """Distribution-free 90% interval for the median of ``ratios`` from the
+    sign test: the j-th smallest and j-th largest values, with j the largest
+    rank whose binomial(n, 1/2) tail stays within 5%."""
+    n = len(ratios)
+    ordered = sorted(ratios)
+    tail, j = 0.0, 0
+    while j < n // 2:
+        tail += math.comb(n, j) / 2.0 ** n
+        if tail > 0.05:
+            break
+        j += 1
+    j = max(j, 1)
+    return ordered[j - 1], ordered[n - j]
+
+
+def summarise_steps(times: dict[str, list[float]]) -> dict:
+    """Per-round head / base time ratios: median, sign-test 90% interval,
+    the rounds the head side was faster and the round count."""
+    ratios = [h / b for b, h in zip(times["base"], times["head"])]
+    return {
+        "ratio": statistics.median(ratios),
+        "ci90": list(sign_interval(ratios)),
+        "head_wins": sum(r < 1.0 for r in ratios),
+        "rounds": len(ratios),
+        "base_ms": statistics.median(times["base"]) * 1e3,
+        "head_ms": statistics.median(times["head"]) * 1e3,
+    }
+
+
+def _load_tree(name: str, src: Path):
+    """The ``multiconv`` package under ``src`` imported as ``name``."""
+    pkg = Path(src) / "multiconv"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _side_work(mc, workload: str, cfg_fields: dict, utts) -> Callable[[int], None]:
+    """One timed unit of ``workload`` for package ``mc``: a training step over
+    ``utts`` (its model and optimizer persist across calls) or a decode pass."""
+    model = mc.build_model(mc.EncoderConfig(**cfg_fields), np.float32)
+    if workload.startswith("decode"):
+        def decode(_round: int) -> None:
+            for utt in utts:
+                mc.greedy_decode(model(mc.Tensor(utt.feats)).data)
+        return decode
+    opt = mc.Adam(model.parameters(), lr=STEP_LR)
+    scale = importlib.import_module(mc.__name__ + ".autodiff").scale
+    clip_norm = mc.TrainConfig().clip_norm
+
+    def step(round_: int) -> None:
+        model.zero_grad()
+        rng = np.random.default_rng(round_)  # the same dropout masks on both sides
+        for utt in utts:
+            with mc.Tape(rng):
+                loss, feasible = mc.ctc_loss(model(mc.Tensor(utt.feats)), utt.tokens)
+                if feasible:
+                    mc.backward(scale(loss, 1.0 / len(utts)))
+        mc.clip_gradients(opt.params, clip_norm)
+        opt.step()
+    return step
+
+
+def alternate(work: dict, rounds: int, clock=time.perf_counter) -> dict[str, list[float]]:
+    """Seconds per round of ``work[side](round)`` for each side, after an
+    untimed warm-up round 0; base runs first in odd rounds, head in even ones."""
+    for side in SIDES:
+        work[side](0)
+    times = {side: [] for side in SIDES}
+    for r in range(1, rounds + 1):
+        for side in (SIDES if r % 2 else SIDES[::-1]):
+            started = clock()
+            work[side](r)
+            times[side].append(clock() - started)
+    return times
+
+
+def step_ratios(base_src, head_src, rounds: int = STEP_ROUNDS, variants=VARIANTS,
+                workloads=tuple(STEP_WORKLOADS)) -> dict:
+    """The step-level section: ``{workload: {variant: summary}}``, with the
+    two trees loaded into this process. Run it in a fresh interpreter."""
+    trees = {"base": _load_tree("bench_base", base_src), "head": _load_tree("bench_head", head_src)}
+    base = trees["base"]  # renders and reads the corpus both sides run on
+    out = {"rounds": rounds, "utts_per_step": STEP_UTTS, "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            corpus, kernels = STEP_WORKLOADS[workload]
+            data_dir = Path(tmp) / workload
+            base.generate_dataset(base.DataSpec(n_train=STEP_UTTS, n_dev=1, n_test=1, seed=0,
+                                                **corpus), data_dir)
+            utts = base.load_split(data_dir, "train")
+            cells = out["workloads"][workload] = {}
+            for name, block, fusion in variants:
+                cfg = {"conv_block": block, "fusion": fusion, "kernels": kernels, "dim": 64,
+                       "layers": 2, "heads": 4, "d_inter": 384, "n_mels": utts[0].feats.shape[1],
+                       "seed": 0}
+                work = {side: _side_work(trees[side], workload, cfg, utts) for side in SIDES}
+                cells[name] = summarise_steps(alternate(work, rounds))
+    return out
+
+
+STEP_CHILD = ("import importlib.util, json, sys; "
+              "spec = importlib.util.spec_from_file_location('bench_pair', sys.argv[1]); "
+              "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool); "
+              "print(json.dumps(tool.step_ratios(sys.argv[2], sys.argv[3])))")
+
+
+def _run_steps(dirs: dict) -> dict:
+    """The step-level section, measured in a child process of its own."""
+    proc = subprocess.run([sys.executable, "-c", STEP_CHILD, str(Path(__file__).resolve()),
+                           str(dirs["base"] / "src"), str(dirs["head"] / "src")],
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"bench_pair: the step-level pairs exited {proc.returncode}; "
+                         f"their stderr ends:\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
 def _parse_plan(specs: list[str]) -> list[tuple[str, int]]:
     plan = []
     for spec in specs:
@@ -196,6 +368,9 @@ def main(argv=None) -> int:
                 "pairs": pairs,
                 "traced": trace,
             }
+        started = time.perf_counter()
+        steps = _run_steps(dirs)
+        print(f"step-level pairs: {time.perf_counter() - started:.0f} s", file=sys.stderr)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -204,6 +379,7 @@ def main(argv=None) -> int:
         "head": revs["head"],
         "env": {k: v for k, v in env.items() if k not in ("git_rev", "src_sha256")},
         "workloads": workloads,
+        "steps": steps,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
