@@ -12,8 +12,9 @@ that dropout draws its masks from, so a training pass is the only one that
 drops anything. Custom layers register their own backward rules through
 :func:`record`.
 
-Every op is one node. ``matmul`` adds an optional bias inside its node, and
-``add`` sums any number of tensors in one; there is no implicit broadcasting.
+Every op is one node. ``matmul`` multiplies two matrices and adds an
+optional bias inside its node, and ``add`` sums any number of tensors in
+one; there is no implicit broadcasting.
 """
 
 from __future__ import annotations
@@ -199,15 +200,14 @@ def check_bias(op: str, b: Tensor, out: np.ndarray) -> None:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product over equal batch extents, plus ``bias[C]`` added to
-    every row when given, as one node.
+    """Product of two matrices, plus ``bias[C]`` added to every row when
+    given, as one node.
 
     Backward: dL/da = g @ b^T, dL/db = a^T @ g, dL/dbias = g summed over rows.
     """
-    if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul needs >=2-d operands of equal batch extents, "
-                         f"got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
     y = a.data @ b.data
     if bias is not None:
@@ -215,8 +215,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         y += bias.data
 
     def bwd(g):
-        grads = g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
-        return grads if bias is None else (*grads, g.sum(axis=tuple(range(g.ndim - 1))))
+        grads = g @ b.data.T, a.data.T @ g
+        return grads if bias is None else (*grads, g.sum(axis=0))
 
     return record(Tensor(y), (a, b) if bias is None else (a, b, bias), bwd)
 
@@ -290,15 +290,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def bwd(g):
         return (g.reshape(x.shape),)
-
-    return record(out, (x,), bwd)
-
-
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    out = Tensor(np.ascontiguousarray(np.swapaxes(x.data, a, b)))
-
-    def bwd(g):
-        return (np.swapaxes(g, a, b),)
 
     return record(out, (x,), bwd)
 

@@ -13,9 +13,9 @@ Every layer records one tape node, which adds its bias: ``Linear`` calls
 ``matmul(x, W, b)``, and the convolutions and ``LayerNorm`` add theirs inside
 their own ops.
 
-Every module is called as ``module(x)``. :func:`dropout` draws its masks
-from the active tape's generator, and modules hand diagnostic arrays to
-:func:`observe`, which records them only inside an :func:`observing` block.
+Every module is called as ``module(x)``. :func:`dropout_mask` draws every
+dropout mask from the active tape's generator, and modules hand diagnostic
+arrays to :func:`observe`, which records them only inside :func:`observing`.
 
 The activations' transcendentals branch on the array's dtype. float64 calls
 ``scipy.special``. float32 uses vectorised numpy forms, a rational ``erf``
@@ -127,18 +127,21 @@ def swish(x: Tensor) -> Tensor:
     return record(out, (x,), bwd)
 
 
+def softmax_forward(a: np.ndarray) -> np.ndarray:
+    """Softmax of an array over its last axis, max-shifted for stability."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient through a softmax with output ``y``, given dL/dy = ``g``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-shifted for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return record(out, (x,), bwd)
+    y = softmax_forward(x.data)
+    return record(Tensor(y), (x,), lambda g: (softmax_backward(y, g),))
 
 
 def glu(x: Tensor) -> Tensor:
@@ -151,25 +154,23 @@ def glu(x: Tensor) -> Tensor:
     return mul(a, sigmoid(b))
 
 
-def dropout(x: Tensor, p: float) -> Tensor:
-    """Inverted dropout, with the mask drawn from the generator of the
-    innermost active tape. Identity when p == 0, when no tape is active, or
-    when that tape carries no generator."""
+def dropout_mask(shape: tuple[int, ...], dtype, p: float) -> np.ndarray | None:
+    """Inverted-dropout mask for ``shape``, 1 / (1 - p) with probability 1 - p
+    else 0, drawn from the innermost active tape's generator. None (keep all)
+    when p == 0 or when no tape, or a tape without a generator, is active."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
     tape = Tape.active()
-    if tape is None or tape.rng is None:
-        return x
+    if p == 0.0 or tape is None or tape.rng is None:
+        return None
     keep = 1.0 - p
-    mask = (tape.rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    out = Tensor(x.data * mask)
+    return (tape.rng.random(shape) < keep).astype(dtype) / keep
 
-    def bwd(g):
-        return (g * mask,)
 
-    return record(out, (x,), bwd)
+def dropout(x: Tensor, p: float) -> Tensor:
+    """Inverted dropout with a :func:`dropout_mask`; identity when it gives none."""
+    mask = dropout_mask(x.shape, x.dtype, p)
+    return x if mask is None else record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))
 
 
 _observer = threading.local()

@@ -2,7 +2,10 @@
 
 Everything here is written the slow, obvious way (explicit loops, full path
 enumeration, recursion) precisely so it shares no code or structure with the
-package under test.
+package under test. The exceptions are the earlier forms of layers the
+package has since fused (:func:`conv2d_down_reference`,
+:func:`attention_reference`), kept to show the fused form gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import itertools
 import math
 
 import numpy as np
+
+from multiconv.autodiff import Tensor, record, reshape, scale
+from multiconv.layers import dropout, observe, softmax
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -151,6 +157,41 @@ def conv2d_down_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.nda
         for dj in range(k):
             dx[di:di + s * t_out:s, dj:dj + s * f_out:s] += gp[:, :, :, di, dj]
     return y, dx, patches.T @ g2, g2.sum(axis=0)
+
+
+def _swapaxes(x: Tensor, a: int, b: int) -> Tensor:
+    """The package's earlier ``swapaxes`` tape op: a contiguous copy of ``x``
+    with axes ``a`` and ``b`` swapped."""
+    out = Tensor(np.ascontiguousarray(np.swapaxes(x.data, a, b)))
+    return record(out, (x,), lambda g: (np.swapaxes(g, a, b),))
+
+
+def _batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The package's earlier batched ``matmul``: matrix products over equal
+    leading extents."""
+    return record(Tensor(a.data @ b.data), (a, b),
+                  lambda g: (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g))
+
+
+def attention_reference(att, x: Tensor) -> Tensor:
+    """``MultiHeadAttention`` as the package computed it from generic tape
+    ops, 18 nodes a call: each projection split into contiguous [H, T, d]
+    heads, ``softmax((q kᵀ)·c)``, observed, then dropout, ``· v`` and the
+    heads merged before the output projection."""
+    t = x.shape[0]
+
+    def split(p):
+        return _swapaxes(reshape(p, (t, att.heads, att.head_dim)), 0, 1)
+
+    q = split(att.q_proj(x))
+    k = split(att.k_proj(x))
+    v = split(att.v_proj(x))
+    scores = scale(_batched_matmul(q, _swapaxes(k, 1, 2)), 1.0 / math.sqrt(att.head_dim))
+    weights = softmax(scores)
+    observe(att, weights.data)
+    weights = dropout(weights, att.dropout_p)
+    ctx = _batched_matmul(weights, v)
+    return att.out_proj(reshape(_swapaxes(ctx, 0, 1), (t, att.dim)))
 
 
 def collapse_path(path: tuple[int, ...]) -> tuple[int, ...]:

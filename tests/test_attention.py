@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from multiconv.attention import MultiHeadAttention
-from multiconv.autodiff import Tensor
+from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import observing
 
@@ -88,6 +88,9 @@ def test_permutation_equivariance():
 def test_validation():
     with pytest.raises(ConfigError):
         MultiHeadAttention(6, 4, np.random.default_rng(0))
+    for heads in (0, -2):
+        with pytest.raises(ConfigError, match="heads"):
+            MultiHeadAttention(6, heads, np.random.default_rng(0))
     att = MultiHeadAttention(6, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         att(Tensor(np.ones((3, 4), dtype=np.float32)))
@@ -97,3 +100,51 @@ def test_float32_output():
     att = MultiHeadAttention(8, 2, np.random.default_rng(6)).astype(np.float32)
     out = att(Tensor(RNG.normal(size=(4, 8)).astype(np.float32)))
     assert out.dtype == np.float32
+
+
+def _pass(att, call, x0, proj, mode):
+    """Output, observed map, x's gradient, the parameters' gradients and the
+    tape's node count of one call, untaped or taped (with or without a
+    dropout generator) and then run backward through a fixed projection."""
+    att.zero_grad()
+    x = Tensor(x0, requires_grad=True)
+    nodes = None
+    with observing() as seen:
+        if mode == "no tape":
+            out = call(x)
+        else:
+            rng = np.random.default_rng(11) if mode == "tape with generator" else None
+            with Tape(rng) as tape:
+                out = call(x)
+                nodes = len(tape)
+                backward(tsum(mul(out, proj)))
+    return out.data, seen[att][0], x.grad, [p.grad for p in att.parameters()], nodes
+
+
+@pytest.mark.parametrize("mode", ["no tape", "tape", "tape with generator"])
+@pytest.mark.parametrize("t", [1, 2, 19])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_node_matches_the_composite_reference_bit_for_bit(dtype, heads, t, mode):
+    att = MultiHeadAttention(8, heads, np.random.default_rng(heads), dropout_p=0.1).astype(dtype)
+    rng = np.random.default_rng(t)
+    x0 = rng.normal(size=(t, 8)).astype(dtype)
+    proj = Tensor(rng.normal(size=(t, 8)).astype(dtype))
+    out, seen, gx, grads, nodes = _pass(att, att, x0, proj, mode)
+    ref_out, ref_seen, ref_gx, ref_grads, ref_nodes = _pass(
+        att, lambda x: oracles.attention_reference(att, x), x0, proj, mode)
+    assert out.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(seen, ref_seen)
+    if mode == "no tape":
+        assert gx is None and nodes is None
+        return
+    # the reference's dropout is a node only when it draws a mask
+    assert (nodes, ref_nodes) == (5, 18 if mode == "tape with generator" else 17)
+    assert gx.dtype == dtype and np.array_equal(gx, ref_gx)
+    assert len(grads) == 8
+    for g, ref in zip(grads, ref_grads):
+        assert g.dtype == dtype and np.array_equal(g, ref)
+    if mode == "tape with generator":
+        # the mask scales every kept weight by 1 / 0.9, so dropout moved the output
+        assert not np.array_equal(out, _pass(att, att, x0, proj, "tape")[0])

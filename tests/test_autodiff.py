@@ -18,7 +18,6 @@ from multiconv.autodiff import (
     scale,
     slice_channels,
     split_channels,
-    swapaxes,
     tsum,
 )
 from multiconv.errors import ContractError, ShapeError, StateError
@@ -231,25 +230,20 @@ def test_slice_split_concat_roundtrip_and_grads():
 
 
 def test_matmul_bias_sums_leading_axes():
-    x = Tensor(RNG.normal(size=(2, 3, 4)))
-    eye = Tensor(np.stack([np.eye(4)] * 2))
+    x = Tensor(RNG.normal(size=(6, 4)))
+    eye = Tensor(np.eye(4))
     b = Tensor(np.zeros(4), requires_grad=True)
     with Tape():
         backward(tsum(matmul(x, eye, b)))
     assert np.array_equal(b.grad, np.full(4, 6.0))
 
 
-def test_reshape_and_swapaxes_grads_restore_layout():
-    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
-    coeff = Tensor(RNG.normal(size=(4, 3, 2)))
+def test_reshape_grad_restores_layout():
+    x = Tensor(RNG.normal(size=(6, 2)), requires_grad=True)
+    coeff = Tensor(RNG.normal(size=(3, 4)))
     with Tape():
-        y = swapaxes(x, 0, 2)
-        backward(tsum(mul(y, coeff)))
-    assert np.array_equal(x.grad, np.swapaxes(coeff.data, 0, 2))
-    x2 = Tensor(RNG.normal(size=(6, 2)), requires_grad=True)
-    with Tape():
-        backward(tsum(reshape(x2, (3, 4))))
-    assert x2.grad.shape == (6, 2)
+        backward(tsum(mul(reshape(x, (3, 4)), coeff)))
+    assert np.array_equal(x.grad, coeff.data.reshape(6, 2))
 
 
 @pytest.mark.parametrize("build", [
@@ -265,6 +259,8 @@ def test_reshape_and_swapaxes_grads_restore_layout():
     lambda: depthwise_conv(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(4))),
     lambda: grouped_conv(Tensor(np.ones((5, 4))), Tensor(np.ones((2, 1, 2, 3))),
                          Tensor(np.ones(4))),
+    # matmul multiplies matrices only, even over equal batch extents
+    lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 2)))),
 ])
 def test_shape_errors(build):
     with pytest.raises(ShapeError):

@@ -13,7 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import multiconv.training
 from multiconv.cli import (
@@ -81,10 +83,28 @@ def test_gen_data_rejects_a_nan_noise_std_and_writes_nothing(tmp_path, capsys):
 
 def test_train_writes_artifacts(workspace, capsys):
     _, run = workspace
-    for name in ("encoder.json", "train.json", "model.mckpt", "metrics.jsonl"):
+    for name in ("encoder.json", "train.json", "environment.json", "model.mckpt",
+                 "metrics.jsonl"):
         assert (run / name).exists(), name
     rows = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
     assert [r["step"] for r in rows] == [2, 4]
+
+
+def test_train_records_its_numeric_environment(workspace, tmp_path, monkeypatch):
+    # the training digests move with the BLAS thread count, so a run keeps
+    # the settings it ran under; an unset variable is recorded as null
+    data, _ = workspace
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), *SHAPE_FLAGS,
+                 "--steps", "1", "--batch-size", "2", "--eval-every", "1", "--quiet"]) == 0
+    assert json.loads((run / "environment.json").read_text()) == {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                         "MKL_NUM_THREADS": "3"},
+        "cpu_count": os.cpu_count()}
 
 
 def test_eval_reports_ter(workspace, capsys):
