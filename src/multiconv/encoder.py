@@ -8,6 +8,11 @@ Each layer applies, with pre-norm residuals:
     x = x + 1/2 ffn(x)
     x = final_norm(x)           (after the last layer only)
 
+Each of the four sums is one :func:`~multiconv.layers.residual` node,
+x + c * dropout(h), where h = sublayer(norm(x)). The encoder input takes the
+same rule, positions + sqrt(dim) * features with no dropout inside, and
+then drops out the sum.
+
 The convolution half-block is pluggable so the same stack hosts the
 multi-kernel unit and both single-kernel baselines.
 """
@@ -19,11 +24,12 @@ import math
 import numpy as np
 
 from .attention import MultiHeadAttention
-from .autodiff import Tensor, add, scale
+from .autodiff import Tensor
 from .config import EncoderConfig, parse_fusion
 from .conv_blocks import ConformerConvBlock, CsguBlock, MultiConvBlock
 from .errors import ConfigError
-from .layers import FeedForward, LayerNorm, Linear, Module, Subsampler, dropout, sinusoid_table
+from .layers import (FeedForward, LayerNorm, Linear, Module, Subsampler, dropout, residual,
+                     sinusoid_table)
 
 
 def _make_conv_block(cfg: EncoderConfig, rng: np.random.Generator):
@@ -53,14 +59,10 @@ class EncoderLayer(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         p = self.dropout_p
-        h = self.ffn1(self.norm_ffn1(x))
-        x = add(x, scale(dropout(h, p), 0.5))
-        h = self.attention(self.norm_att(x))
-        x = add(x, dropout(h, p))
-        h = self.conv(self.norm_conv(x))
-        x = add(x, dropout(h, p))
-        h = self.ffn2(self.norm_ffn2(x))
-        return add(x, scale(dropout(h, p), 0.5))
+        x = residual(x, self.ffn1(self.norm_ffn1(x)), 0.5, p)
+        x = residual(x, self.attention(self.norm_att(x)), 1.0, p)
+        x = residual(x, self.conv(self.norm_conv(x)), 1.0, p)
+        return residual(x, self.ffn2(self.norm_ffn2(x)), 0.5, p)
 
 
 class Encoder(Module):
@@ -83,7 +85,7 @@ class Encoder(Module):
 
     def __call__(self, feats: Tensor) -> Tensor:
         x = self.subsampler(feats)
-        x = add(scale(x, self._x_scale), self._positions(x.shape[0], x.dtype))
+        x = residual(self._positions(x.shape[0], x.dtype), x, self._x_scale, 0.0)
         x = dropout(x, self.cfg.dropout)
         for layer in self.layers:
             x = layer(x)

@@ -55,7 +55,7 @@ from .layers import (
     Subsampler,
     gelu,
     glu,
-    sigmoid,
+    residual,
     softmax,
     swish,
 )
@@ -195,7 +195,6 @@ def _op_cases(seed: int) -> list[_Case]:
     case("gelu", lambda t: red(gelu(t)), rng.normal(size=(4, 5)))
     case("gelu.wide", lambda t: red(gelu(t)), 3.0 * rng.normal(size=(3, 3)))
     case("swish", lambda t: red(swish(t)), rng.normal(size=(4, 5)))
-    case("sigmoid", lambda t: red(sigmoid(t)), rng.normal(size=(4, 4)))
     case("softmax", lambda t: red(softmax(t)), rng.normal(size=(5, 4)))
     case("softmax.3d", lambda t: red(softmax(t)), rng.normal(size=(2, 3, 4)))
     case("glu", lambda t: red(glu(t)), rng.normal(size=(5, 6)))
@@ -236,8 +235,10 @@ def _op_cases(seed: int) -> list[_Case]:
     _param_cases(case, "conv2d", c2, lambda: red(c2(Tensor(x_c2))))
 
     # from arrays drawn above, and reduced at a shape already seen, so adding
-    # this case moves no random draw of the cases before it
+    # these cases moves no random draw of the cases before them
     case("add.parts", lambda t: red(add(t, Tensor(x35), mul(t, t))), a34 @ b45)
+    case("residual.x", lambda t: red(residual(t, Tensor(x35), 0.5, 0.0)), a34 @ b45)
+    case("residual.h", lambda t: red(residual(Tensor(x35), t, 0.5, 0.0)), a34 @ b45)
     return cases
 
 

@@ -11,7 +11,8 @@ silently promote float32 activations under NumPy 2 promotion rules.
 
 Every layer records one tape node, which adds its bias: ``Linear`` calls
 ``matmul(x, W, b)``, and the convolutions and ``LayerNorm`` add theirs inside
-their own ops.
+their own ops. :func:`residual` (the pre-norm residual sum with its dropout)
+and :func:`glu` are one node each too, with hand-written backward rules.
 
 Every module is called as ``module(x)``. :func:`dropout_mask` draws every
 dropout mask from the active tape's generator, and modules hand diagnostic
@@ -32,8 +33,7 @@ import threading
 import numpy as np
 from scipy import special
 
-from .autodiff import (FLOAT_DTYPES, Tape, Tensor, check_bias, matmul, mul, record, reshape,
-                       split_channels)
+from .autodiff import FLOAT_DTYPES, Tape, Tensor, check_bias, matmul, record, reshape
 from .config import check_kernels
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -106,16 +106,6 @@ def gelu(x: Tensor) -> Tensor:
     return record(out, (x,), bwd)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _expit(x.data)
-    out = Tensor(s)
-
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-
-    return record(out, (x,), bwd)
-
-
 def swish(x: Tensor) -> Tensor:
     """Sigmoid-weighted linear unit x * sigmoid(x)."""
     s = _expit(x.data)
@@ -145,13 +135,18 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def glu(x: Tensor) -> Tensor:
-    """Gated linear unit: split channels in half, gate the first half by
-    the sigmoid of the second."""
+    """Gated linear unit a * sigmoid(b), a and b the first and second half of
+    the channels, as one node (Dauphin et al., arXiv 1612.08083)."""
     c = x.shape[-1]
     if c % 2:
         raise ShapeError(f"glu needs an even channel count, got {c}")
-    a, b = split_channels(x, c // 2)
-    return mul(a, sigmoid(b))
+    a = x.data[..., :c // 2]
+    s = _expit(x.data[..., c // 2:])
+
+    def bwd(g):
+        return (np.concatenate([g * s, g * a * s * (1.0 - s)], axis=-1),)
+
+    return record(Tensor(a * s), (x,), bwd)
 
 
 def dropout_mask(shape: tuple[int, ...], dtype, p: float) -> np.ndarray | None:
@@ -171,6 +166,21 @@ def dropout(x: Tensor, p: float) -> Tensor:
     """Inverted dropout with a :func:`dropout_mask`; identity when it gives none."""
     mask = dropout_mask(x.shape, x.dtype, p)
     return x if mask is None else record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))
+
+
+def residual(x: Tensor, h: Tensor, c: float, p: float) -> Tensor:
+    """The residual sum x + c * dropout(h, p) as one node, the mask from
+    :func:`dropout_mask`. x's gradient is g itself, as ``add`` gives it, and
+    x.data is never written, so x may be a view of a cached table."""
+    if x.shape != h.shape:
+        raise ShapeError(f"residual: shapes {x.shape} and {h.shape} differ")
+    mask = dropout_mask(h.shape, h.dtype, p)
+    hm = h.data if mask is None else h.data * mask
+
+    def bwd(g):
+        return g, (g * c if mask is None else g * c * mask)
+
+    return record(Tensor(x.data + hm * c), (x, h), bwd)
 
 
 _observer = threading.local()

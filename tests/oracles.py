@@ -4,8 +4,8 @@ Everything here is written the slow, obvious way (explicit loops, full path
 enumeration, recursion) precisely so it shares no code or structure with the
 package under test. The exceptions are the earlier forms of layers the
 package has since fused (:func:`conv2d_down_reference`,
-:func:`attention_reference`), kept to show the fused form gives the same
-bits.
+:func:`attention_reference`, :func:`residual_reference`,
+:func:`glu_reference`), kept to show the fused form gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from multiconv.autodiff import Tensor, record, reshape, scale
-from multiconv.layers import dropout, observe, softmax
+from multiconv.autodiff import Tensor, add, mul, record, reshape, scale, split_channels
+from multiconv.layers import _expit, dropout, observe, softmax
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -192,6 +192,27 @@ def attention_reference(att, x: Tensor) -> Tensor:
     weights = dropout(weights, att.dropout_p)
     ctx = _batched_matmul(weights, v)
     return att.out_proj(reshape(_swapaxes(ctx, 0, 1), (t, att.dim)))
+
+
+def residual_reference(x: Tensor, h: Tensor, c: float, p: float) -> Tensor:
+    """The residual sum as the package wrote it from generic tape ops, up to
+    three nodes: ``add(x, scale(dropout(h, p), c))``, without the scale
+    when c is 1."""
+    h = dropout(h, p)
+    return add(x, h if c == 1.0 else scale(h, c))
+
+
+def _sigmoid(x: Tensor) -> Tensor:
+    """The package's earlier ``sigmoid`` tape op."""
+    s = _expit(x.data)
+    return record(Tensor(s), (x,), lambda g: (g * s * (1.0 - s),))
+
+
+def glu_reference(x: Tensor) -> Tensor:
+    """``glu`` as the package computed it from generic tape ops, four nodes:
+    the two channel halves a and b copied out, then a * sigmoid(b)."""
+    a, b = split_channels(x, x.shape[-1] // 2)
+    return mul(a, _sigmoid(b))
 
 
 def collapse_path(path: tuple[int, ...]) -> tuple[int, ...]:

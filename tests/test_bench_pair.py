@@ -56,15 +56,17 @@ def test_plan_needs_at_least_two_pairs():
 STEP_SECTION = {"rounds": 2, "utts_per_step": 4, "workloads": {"w": {"sum": {"ratio": 0.9}}}}
 
 
-def _fake_perfbench(calls, fail_side=None, fail_traced_only=False, fail_steps=False):
+def _fake_perfbench(calls, fail_side=None, fail_traced_only=False, fail_steps=False,
+                    failing=()):
     """A stand-in for ``subprocess.run`` of perfbench that appends each run's
     (side, seed, trace flag) to ``calls``. An untraced run prints a passing
     result with each end-to-end metric at 1.0; a traced run prints each
-    per-layer metric at 2.0 and fails its step-time accounting check. Runs on
-    ``fail_side`` (its traced runs only, with ``fail_traced_only``) report an
-    exception the way perfbench does. The step-level child logs ("steps",
-    base src, head src) and prints ``STEP_SECTION``, or fails with
-    ``fail_steps``."""
+    per-layer metric at 2.0. The runs listed by (side, seed, trace flag) in
+    ``failing`` print their metrics but fail one check (a traced run its
+    step-time accounting) and exit 1. Runs on ``fail_side`` (its traced runs
+    only, with ``fail_traced_only``) report an exception the way perfbench
+    does. The step-level child logs ("steps", base src, head src) and prints
+    ``STEP_SECTION``, or fails with ``fail_steps``."""
     spec = json.loads((bench_pair.ROOT / "BENCHMARK.json").read_text())
 
     def run(cmd, **kwargs):
@@ -76,33 +78,34 @@ def _fake_perfbench(calls, fail_side=None, fail_traced_only=False, fail_steps=Fa
         cwd = kwargs["cwd"]
         side, traced = Path(cwd).name, cmd[cmd.index("--trace") + 1] == "1"
         calls.append((side, int(cmd[cmd.index("--seed") + 1]), traced))
+        fails = calls[-1] in failing
         if side == fail_side and (traced or not fail_traced_only):
             record = {"error": "Traceback ...\nValueError: planted failure\n"}
             result = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
             stderr, code = record["error"], 1
         else:
-            checks = [{"name": "finite", "ok": True}]
+            checks = [{"name": "finite", "ok": not fails or traced}]
             if traced:
-                checks.append({"name": "trace_accounts_for_step_time", "ok": False})
+                checks.append({"name": "trace_accounts_for_step_time", "ok": not fails})
             record = {"checks": checks, "env": {"nproc": 2}}
             names = [m["name"] for m in spec["per_layer" if traced else "end_to_end"]]
-            result = {"correct": not traced, "attempted": 1, "failed": int(traced),
+            result = {"correct": not fails, "attempted": 1, "failed": int(fails),
                       "metrics": {name: {"value": 2.0 if traced else 1.0} for name in names}}
-            stderr, code = "", int(traced)
+            stderr, code = "", int(fails)
         stdout = json.dumps(record) + "\n" + json.dumps(result) + "\n"
         return subprocess.CompletedProcess(cmd, code, stdout, stderr)
 
     return run
 
 
-def _stub(monkeypatch, fail_side=None, fail_traced_only=False, fail_steps=False):
+def _stub(monkeypatch, fail_side=None, fail_traced_only=False, fail_steps=False, failing=()):
     """Exports that copy nothing, and the perfbench stand-in; returns the
     list its runs are logged to."""
     calls = []
     monkeypatch.setattr(bench_pair, "_export_rev", lambda rev, dest: {"rev": rev, "commit": "0"})
     monkeypatch.setattr(bench_pair, "_export_worktree", lambda dest: {"rev": "wt", "commit": "0"})
     monkeypatch.setattr(bench_pair, "subprocess", types.SimpleNamespace(
-        run=_fake_perfbench(calls, fail_side, fail_traced_only, fail_steps)))
+        run=_fake_perfbench(calls, fail_side, fail_traced_only, fail_steps, failing)))
     return calls
 
 
@@ -131,14 +134,16 @@ def test_a_run_without_metrics_stops_with_its_workload_seed_side_and_stderr(
     assert not out.exists()
 
 
-def test_each_workload_ends_with_one_traced_run_per_side_at_seed_3(monkeypatch, tmp_path):
-    calls = _stub(monkeypatch)
+def test_each_workload_ends_with_one_traced_run_per_side_at_seed_3(monkeypatch, tmp_path,
+                                                                   capsys):
+    traced = [("base", 3, True), ("head", 3, True)]
+    calls = _stub(monkeypatch, failing=traced)
     out = tmp_path / "BENCH.json"
+    # the traced runs fail their accounting check: written, then exit 1
     assert bench_pair.main(["--base", "HEAD", "--out", str(out), "--scratch", str(tmp_path / "s"),
-                            "w:2", "v:3"]) == 0
+                            "w:2", "v:3"]) == 1
     w_pairs = [("base", 41, False), ("head", 41, False), ("head", 42, False), ("base", 42, False)]
     v_pairs = w_pairs + [("base", 43, False), ("head", 43, False)]
-    traced = [("base", 3, True), ("head", 3, True)]
     assert calls == w_pairs + traced + v_pairs + traced + [("steps", "base", "head")]
     workloads = json.loads(out.read_text())["workloads"]
     for name in ("w", "v"):
@@ -150,6 +155,24 @@ def test_each_workload_ends_with_one_traced_run_per_side_at_seed_3(monkeypatch, 
             assert not trace[side]["correct"]
         # the traced runs stay out of the end-to-end summary
         assert workloads[name]["summary"]["setup_s"]["base"]["median"] == 1.0
+    named = [line for line in capsys.readouterr().err.splitlines() if "not correct" in line]
+    assert named == [f"bench_pair: traced {w} seed 3 on the {side} side is not correct: "
+                     "failed checks [trace_accounts_for_step_time], 1 of 1 operations failed"
+                     for w in ("w", "v") for side in bench_pair.SIDES]
+
+
+def test_an_untraced_run_that_fails_a_check_is_written_then_exits_1(monkeypatch, tmp_path,
+                                                                   capsys):
+    _stub(monkeypatch, failing=[("head", 42, False)])
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--base", "HEAD", "--out", str(out), "--scratch", str(tmp_path / "s"),
+                            "w:2"]) == 1
+    pairs = json.loads(out.read_text())["workloads"]["w"]["pairs"]
+    assert pairs[1]["head"]["failed_checks"] == ["finite"] and not pairs[1]["head"]["correct"]
+    assert pairs[1]["base"]["correct"] and pairs[0]["head"]["correct"]
+    named = [line for line in capsys.readouterr().err.splitlines() if "not correct" in line]
+    assert named == ["bench_pair: untraced w seed 42 on the head side is not correct: "
+                     "failed checks [finite], 1 of 1 operations failed"]
 
 
 @pytest.mark.parametrize("side", bench_pair.SIDES)

@@ -7,6 +7,7 @@ import pytest
 
 from multiconv.autodiff import Tape, Tensor
 from multiconv.config import EncoderConfig
+from multiconv.ctc import ctc_loss
 from multiconv.encoder import CtcModel, Encoder, build_model
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import observing
@@ -77,6 +78,22 @@ def test_dropout_only_on_a_tape_with_a_generator():
     assert not np.array_equal(dropped, plain)
     with Tape(np.random.default_rng(0)):
         assert np.array_equal(model(feats).data, dropped)
+
+
+@pytest.mark.parametrize("block,fusion,nodes", [
+    ("multiconv", "sum", 75), ("multiconv", "weighted", 83), ("multiconv", "concat", 75),
+    ("multiconv", "depth", 77), ("csgu", "depth", 75), ("conformer", "depth", 67),
+])
+def test_training_forward_records_a_pinned_node_count(block, fusion, nodes):
+    # the toy geometry on 84 frames (20 after subsampling), dropout drawing,
+    # CTC loss included: each residual sum and each glu is one node
+    cfg = EncoderConfig(dim=64, layers=2, heads=4, d_inter=384, kernels=(3, 7, 11, 15),
+                        conv_block=block, fusion=fusion, n_mels=80)
+    model = build_model(cfg)
+    feats = Tensor(np.random.default_rng(0).normal(size=(84, 80)).astype(np.float32))
+    with Tape(np.random.default_rng(1)) as tape:
+        ctc_loss(model(feats), [1, 2])
+        assert len(tape) == nodes
 
 
 def test_same_seed_same_output():

@@ -28,7 +28,7 @@ from multiconv.layers import (
     grouped_conv,
     observe,
     observing,
-    sigmoid,
+    residual,
     sinusoid_table,
     softmax,
     swish,
@@ -62,19 +62,18 @@ def test_gelu_is_odd_about_half_x():
 
 def test_sigmoid_and_swish_values():
     x = np.array([0.0, 2.0, -2.0])
-    s = sigmoid(Tensor(x)).data
+    s = _expit(x)
     expected = 1.0 / (1.0 + np.exp(-x))
     assert np.allclose(s, expected, atol=1e-15)
     assert np.allclose(swish(Tensor(x)).data, x * expected, atol=1e-15)
 
 
 def _float64_activations(x):
-    """The float64 scipy formulas of erf, expit, gelu, sigmoid and swish."""
+    """The float64 scipy formulas of erf, expit, gelu and swish."""
     return {
         "erf": special.erf(x),
         "expit": special.expit(x),
         "gelu": x * (0.5 * (1.0 + special.erf(x * INV_SQRT2))),
-        "sigmoid": special.expit(x),
         "swish": x * special.expit(x),
     }
 
@@ -84,7 +83,6 @@ def _activations(x):
         "erf": _erf(x),
         "expit": _expit(x),
         "gelu": gelu(Tensor(x)).data,
-        "sigmoid": sigmoid(Tensor(x)).data,
         "swish": swish(Tensor(x)).data,
     }
 
@@ -134,6 +132,70 @@ def test_glu_gates_first_half_by_sigmoid_of_second():
     assert np.allclose(y, expected, atol=1e-14)
     with pytest.raises(ShapeError):
         glu(Tensor(np.ones((2, 5))))
+
+
+MODES = ["no tape", "tape", "tape with generator"]
+
+
+def _taped(call, inputs, proj, mode):
+    """Output, input gradients and the tape's node count of one call on
+    fresh leaves, untaped or taped (with or without a dropout generator)
+    and then run backward through a fixed projection."""
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    if mode == "no tape":
+        return call(*leaves).data, None, None
+    with Tape(np.random.default_rng(11) if mode == "tape with generator" else None) as tape:
+        out = call(*leaves)
+        nodes = len(tape)
+        backward(tsum(mul(out, Tensor(proj))))
+    return out.data, [t.grad for t in leaves], nodes
+
+
+# c: the encoder's weights 0.5 and 1, and sqrt(dim) at dim 64 and at dim 12;
+# only sqrt(12) is no power of two, so only it shows the order of the products
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("p", [0.0, 0.1])
+@pytest.mark.parametrize("c", [0.5, 1.0, 8.0, math.sqrt(12.0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residual_matches_the_composite_reference_bit_for_bit(dtype, c, p, mode):
+    rng = np.random.default_rng(5)
+    x0, h0, proj = (rng.normal(size=(7, 6)).astype(dtype) for _ in range(3))
+    kept = x0.copy()
+    out, grads, nodes = _taped(lambda x, h: residual(x, h, c, p), (x0, h0), proj, mode)
+    ref_out, ref_grads, ref_nodes = _taped(
+        lambda x, h: oracles.residual_reference(x, h, c, p), (x0, h0), proj, mode)
+    assert np.array_equal(x0, kept)  # x's array is read, never written
+    assert out.dtype == dtype and np.array_equal(out, ref_out)
+    with pytest.raises(ShapeError):
+        residual(Tensor(x0), Tensor(h0[:, :5]), c, p)
+    if mode == "no tape":
+        assert grads is None
+        return
+    # the reference scales unless c is 1, and its dropout is a node only
+    # when it draws a mask
+    drops = mode == "tape with generator" and p > 0.0
+    assert (nodes, ref_nodes) == (1, 1 + (c != 1.0) + drops)
+    for g, ref in zip(grads, ref_grads):
+        assert g.dtype == dtype and np.array_equal(g, ref)
+    if drops:
+        assert not np.array_equal(out, _taped(
+            lambda x, h: residual(x, h, c, p), (x0, h0), proj, "tape")[0])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_glu_matches_the_composite_reference_bit_for_bit(dtype, mode):
+    rng = np.random.default_rng(6)
+    x0 = (4.0 * rng.normal(size=(7, 8))).astype(dtype)
+    proj = rng.normal(size=(7, 4)).astype(dtype)
+    out, grads, nodes = _taped(glu, (x0,), proj, mode)
+    ref_out, ref_grads, ref_nodes = _taped(oracles.glu_reference, (x0,), proj, mode)
+    assert out.dtype == dtype and np.array_equal(out, ref_out)
+    if mode == "no tape":
+        assert grads is None
+        return
+    assert (nodes, ref_nodes) == (1, 4)
+    assert grads[0].dtype == dtype and np.array_equal(grads[0], ref_grads[0])
 
 
 def test_dropout_identity_without_rng_or_p():

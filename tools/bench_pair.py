@@ -21,7 +21,10 @@ BLAS thread settings, numpy and scipy versions), and for each workload every
 run's metrics and failed checks. For every end-to-end metric of
 ``BENCHMARK.json`` it gives each side's median and interquartile range and
 the number of pairs in which the head side was better. A run that prints no
-metrics, traced or not, stops the comparison and writes nothing.
+metrics, traced or not, stops the comparison and writes nothing. A run that
+prints metrics but is not ``correct`` (a failed check or operation, exit 1)
+is kept in the output; after writing it the tool names each such run on
+stderr and exits 1.
 
 Step-level pairs follow the end-to-end ones, under the output's ``steps``
 key. One child process loads the two exported ``src/`` trees side by side
@@ -382,7 +385,17 @@ def main(argv=None) -> int:
         "steps": steps,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 0
+    failed = [(workload, pair, side, traced)
+              for workload, entry in workloads.items()
+              for traced, pairs in ((False, entry["pairs"]), (True, [entry["traced"]]))
+              for pair in pairs for side in SIDES if not pair[side]["correct"]]
+    for workload, pair, side, traced in failed:
+        run = pair[side]
+        print(f"bench_pair: {'traced' if traced else 'untraced'} {workload} seed {pair['seed']} "
+              f"on the {side} side is not correct: failed checks "
+              f"[{', '.join(run['failed_checks'])}], {run['failed']} of {run['attempted']} "
+              "operations failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
