@@ -260,29 +260,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return record(out, (a,), bwd)
 
 
-def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Copy out channels [lo, hi) of the last axis; backward scatters into place."""
-    c = x.shape[-1]
-    if not (0 <= lo < hi <= c):
-        raise IndexError(f"slice_channels: range [{lo}, {hi}) invalid for {c} channels")
-    out = Tensor(x.data[..., lo:hi].copy())
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[..., lo:hi] = g
-        return (gx,)
-
-    return record(out, (x,), bwd)
-
-
-def split_channels(x: Tensor, boundary: int) -> tuple[Tensor, Tensor]:
-    """Split the last axis at ``boundary`` into two disjoint channel ranges."""
-    c = x.shape[-1]
-    if not (0 < boundary < c):
-        raise IndexError(f"split_channels: boundary {boundary} out of range for {c} channels")
-    return slice_channels(x, 0, boundary), slice_channels(x, boundary, c)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")

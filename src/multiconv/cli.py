@@ -52,15 +52,18 @@ def _parse_kernels(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1; anything else is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer of at least ``low``, 0 or 1; else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {('non-negative', 'positive')[low]} integer, got {text!r}")
+        return value
+    return parse
 
 
 # the record fields that gen-data and train take as flags; Adam's constants have none
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--data", type=Path, required=True)
         q.add_argument("--model", type=Path, required=True)
         q.add_argument("--split", choices=SPLITS, default="dev")
-        q.add_argument("--utts", type=_positive_int, default=8)
+        q.add_argument("--utts", type=_int_at_least(1), default=8)
         q.add_argument("--out", type=Path, default=None, help="optional CSV path")
         q.set_defaults(func=func)
 
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_param_count)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_grad_check)
 
     return parser

@@ -77,13 +77,15 @@ def check_gate_width(d_inter: int, fusion: FusionKind, n_kernels: int) -> None:
             f"to divide the half width {d_inter // 2}")
 
 
-def _check_finite(cfg) -> None:
-    """Reject NaN or an infinity in any float field of ``cfg``. NaN would
-    pass the range checks of ``validate``: each is an ordered comparison."""
+def _check_fields(cfg) -> None:
+    """Reject NaN or an infinity in any float field of ``cfg`` (NaN passes
+    every ordered range check of ``validate``) and a negative seed."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "float" and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ConfigError(f"seed must be non-negative, got {value}")
 
 
 def _typed(name: str, annotation: str, value, path):
@@ -168,7 +170,7 @@ class EncoderConfig(_JsonMixin):
         return self.d_ffn if self.d_ffn else 4 * self.dim
 
     def validate(self) -> "EncoderConfig":
-        _check_finite(self)
+        _check_fields(self)
         if self.dim < 1 or self.layers < 1 or self.heads < 1:
             raise ConfigError("dim, layers, and heads must be positive")
         if self.dim % self.heads:
@@ -208,7 +210,7 @@ class DataSpec(_JsonMixin):
     seed: int = 0
 
     def validate(self) -> "DataSpec":
-        _check_finite(self)
+        _check_fields(self)
         if self.vocab < 1:
             raise ConfigError("vocab must be positive")
         if self.n_train < 1 or self.n_dev < 1 or self.n_test < 1:
@@ -241,7 +243,7 @@ class TrainConfig(_JsonMixin):
     target_ter: float = -1.0
 
     def validate(self) -> "TrainConfig":
-        _check_finite(self)
+        _check_fields(self)
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
         # lr of exactly zero is legal: it freezes the parameters, which is

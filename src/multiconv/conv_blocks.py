@@ -1,20 +1,20 @@
 """Gated convolution blocks: the multi-kernel unit, its fusions, and baselines.
 
-The central module splits its input channels in half, normalizes the right
-half, passes it through one or more temporal convolutions, fuses the branch
+The central module normalizes the right half of its input channels,
+passes it through one or more temporal convolutions, fuses the branch
 outputs, and uses the result to gate the untouched left half elementwise:
 
     a            [T, 2*h]   (post-expansion activations)
-    z_l, z_r   = a[:, :h], layer_norm(a[:, h:])
-    v_i        = conv_k_i(z_r)          for each kernel width k_i
+    z          = layer_norm(a[:, h:])
+    v_i        = conv_k_i(z)            for each kernel width k_i
     v          = fuse(v_1, ..., v_P)
-    out        = z_l * v                [T, h]
+    out        = a[:, :h] * v           [T, h]
 
 Four fusion rules are provided:
 
 * ``sum``       adds the branch outputs.
 * ``weighted``  adds them with per-frame softmax weights from a linear gate
-                over z_r. The gate starts at zero, so fusion begins as the
+                over z. The gate starts at zero, so fusion begins as the
                 uniform average and the learned weights are readable as
                 kernel importances.
 * ``concat``    gives each branch h/P output channels (grouped convolution
@@ -27,7 +27,8 @@ convolutional spatial gating unit; the ``csgu`` baseline block,
 :class:`CsguBlock`, is exactly that.
 
 Parameters are held per branch, but the branches run folded: ``sum`` as one
-depthwise convolution with the centred, summed kernels, ``concat``/``depth``
+depthwise convolution with the centred, summed kernels, which adds the
+branch biases inside its node, ``concat``/``depth``
 as one grouped convolution with the centred kernels stacked, and
 ``weighted`` with its P branch outputs mixed in one step. Gradients of a
 folded kernel are cropped back to each branch.
@@ -39,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add, mul, record, split_channels
+from .autodiff import Tensor, record
 from .config import FusionKind, check_gate_width, check_kernels
 from .errors import ConfigError, ShapeError
 from .layers import (
@@ -53,6 +54,7 @@ from .layers import (
     gelu,
     glu,
     grouped_conv,
+    layer_norm,
     observe,
     softmax,
     swish,
@@ -63,7 +65,7 @@ def fusion_param_count(fusion: FusionKind, d_inter: int, kernels: Sequence[int])
     """Closed-form parameter count of the gating unit's convolution/fusion part.
 
     Counts conv weights and biases plus, for ``weighted``, the gate
-    projection; shared pieces (split, norm, elementwise gate) are excluded.
+    projection; the shared norm and elementwise gate are excluded.
     """
     kernels = check_kernels(kernels)
     half = d_inter // 2
@@ -151,9 +153,24 @@ def branch_major(y: Tensor, biases: Sequence[Tensor]) -> Tensor:
     return record(Tensor(out), (y, *biases), bwd)
 
 
+def gate(a: Tensor, v: Tensor) -> Tensor:
+    """The gate a[:, :h] * v of a[T, 2h] by v[T, h], as one node that reads
+    a's left half in place; backward leaves the right half of a's gradient 0."""
+    left = a.data[:, :v.shape[1]]
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.multiply(g, v.data, out=ga[:, :v.shape[1]])
+        return ga, g * left
+
+    return record(Tensor(left * v.data), (a, v), bwd)
+
+
 class Mcsgu(Module):
     """Multi-kernel convolutional spatial gating unit, [T, d_inter] -> [T, d_inter/2].
 
+    The norm node (``self.norm``'s parameters) and the :func:`gate` node
+    read the two halves of the input in place; no node copies them out.
     With the ``weighted`` fusion each call observes its per-frame kernel
     mixture, a [T, P] array whose rows sum to one.
     """
@@ -193,25 +210,23 @@ class Mcsgu(Module):
     def __call__(self, a: Tensor) -> Tensor:
         if a.ndim != 2 or a.shape[1] != self.d_inter:
             raise ShapeError(f"gating unit expects [T, {self.d_inter}], got {a.shape}")
-        z_l, z_r = split_channels(a, self.half)
-        z_r = self.norm(z_r)
+        z = layer_norm(a, self.norm.gamma, self.norm.beta, lo=self.half)
         k_max = self.kernels[-1]
         # the branch parameters are read on every call, so swapping one
         # (as the gradient audit does) reaches the folded kernel
         if self.fusion is FusionKind.SUM:
             w = fold_taps([conv.weight for conv in self.branches], k_max, stack=False)
-            b = add(*(conv.bias for conv in self.branches))
-            fused = depthwise_conv(z_r, w, b)
+            fused = depthwise_conv(z, w, *(conv.bias for conv in self.branches))
         elif self.fusion is FusionKind.WEIGHTED:
-            alpha = softmax(self.gate(z_r))
+            alpha = softmax(self.gate(z))
             observe(self, alpha.data)
-            fused = mix_rows([conv(z_r) for conv in self.branches], alpha)
+            fused = mix_rows([conv(z) for conv in self.branches], alpha)
         else:
             w = fold_taps([conv.weight for conv in self.branches], k_max, stack=True)
-            fused = branch_major(grouped_conv(z_r, w), [conv.bias for conv in self.branches])
+            fused = branch_major(grouped_conv(z, w), [conv.bias for conv in self.branches])
             if self.final_conv is not None:
                 fused = self.final_conv(fused)
-        return mul(z_l, fused)
+        return gate(a, fused)
 
 
 class MultiConvBlock(Module):

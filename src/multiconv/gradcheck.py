@@ -35,8 +35,6 @@ from .autodiff import (
     mul,
     reshape,
     scale,
-    slice_channels,
-    split_channels,
     tsum,
 )
 from .config import EncoderConfig
@@ -185,10 +183,6 @@ def _op_cases(seed: int) -> list[_Case]:
     case("mul", lambda t: red(mul(t, Tensor(x35))), rng.normal(size=(3, 5)))
     case("scale", lambda t: red(scale(t, -1.7)), rng.normal(size=(4, 2)))
 
-    case("slice_channels", lambda t: red(slice_channels(t, 1, 4)), rng.normal(size=(4, 6)))
-    case("split_channels",
-         lambda t: add(red(split_channels(t, 2)[0]), red(split_channels(t, 2)[1])),
-         rng.normal(size=(3, 6)))
     case("reshape", lambda t: red(reshape(t, (2, 6))), rng.normal(size=(3, 4)))
     case("tsum", lambda t: tsum(t), rng.normal(size=(3, 3)))
 

@@ -39,6 +39,7 @@ from .errors import ConfigError, ContractError, ShapeError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LN_EPS = 1e-12
 
 # Eigen's float erf (SpecialFunctionsImpl.h): erf(x) = x * P(x^2) / Q(x^2) on
 # [-4, 4], outside which float32 erf is +-1. Highest degree first.
@@ -264,46 +265,52 @@ class Linear(Module):
         return matmul(x, self.weight, self.bias)
 
 
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, lo: int = 0) -> Tensor:
+    """Normalize channels [lo:] of the last axis, read in place, to zero mean
+    / unit variance, then scale by ``gamma`` and shift by ``beta``, as one
+    node. Backward returns a full-width gradient, zero on channels [:lo]."""
+    xs = x.data[..., lo:]
+    if xs.shape[-1] != gamma.shape[0]:
+        raise ShapeError(f"layer norm over {gamma.shape[0]} channels got {x.shape}[{lo}:]")
+    centered = xs - xs.mean(axis=-1, keepdims=True)
+    var = np.square(centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv_std
+    n_inv = 1.0 / xs.shape[-1]
+
+    def bwd(g):
+        lead = tuple(range(g.ndim - 1))
+        d_gamma = (g * xhat).sum(axis=lead)
+        d_beta = g.sum(axis=lead)
+        gh = g * gamma.data
+        m1 = gh.sum(axis=-1, keepdims=True) * n_inv
+        m2 = (gh * xhat).sum(axis=-1, keepdims=True) * n_inv
+        dx = (gh - m1 - xhat * m2) * inv_std
+        if lo:
+            dx = np.concatenate([np.zeros_like(x.data[..., :lo]), dx], axis=-1)
+        return dx, d_gamma, d_beta
+
+    return record(Tensor(xhat * gamma.data + beta.data), (x, gamma, beta), bwd)
+
+
 class LayerNorm(Module):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-
-    EPS = 1e-12
 
     def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.gamma.shape[0]:
-            raise ShapeError(
-                f"layer norm over {self.gamma.shape[0]} channels got {x.shape}")
-        mu = x.data.mean(axis=-1, keepdims=True)
-        centered = x.data - mu
-        var = np.square(centered).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = centered * inv_std
-        gamma, beta = self.gamma, self.beta
-        out = Tensor(xhat * gamma.data + beta.data)
-        n_inv = 1.0 / x.shape[-1]
-
-        def bwd(g):
-            lead = tuple(range(g.ndim - 1))
-            d_gamma = (g * xhat).sum(axis=lead)
-            d_beta = g.sum(axis=lead)
-            gh = g * gamma.data
-            m1 = gh.sum(axis=-1, keepdims=True) * n_inv
-            m2 = (gh * xhat).sum(axis=-1, keepdims=True) * n_inv
-            dx = (gh - m1 - xhat * m2) * inv_std
-            return dx, d_gamma, d_beta
-
-        return record(out, (x, gamma, beta), bwd)
+        return layer_norm(x, self.gamma, self.beta)
 
 
-def depthwise_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def depthwise_conv(x: Tensor, w: Tensor, b: Tensor, *more: Tensor) -> Tensor:
     """Per-channel convolution over time of x[T, C] with w[C, k] and bias
     b[C], same-length zero padding (k odd):
     out[t, c] = sum_j x[t + j - k//2, c] * w[c, j] + b[c].
 
+    Further biases ``more`` are added inside the node as one bias, summed
+    b + more[0] + ... in that order; each gets its own copy of db.
     Runs as one shifted multiply-add per tap, forward and backward.
     """
     t, c = x.shape
@@ -315,8 +322,9 @@ def depthwise_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     acc = np.zeros((t, c), dtype=x.data.dtype)
     for j in range(k):
         acc += xpad[j:j + t] * taps[j]
-    check_bias("depthwise_conv", b, acc)
-    acc += b.data
+    for bias in (b, *more):
+        check_bias("depthwise_conv", bias, acc)
+    acc += sum((bias.data for bias in more), b.data)
 
     def bwd(g):
         dw = np.empty_like(w.data)
@@ -325,9 +333,10 @@ def depthwise_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gpad = np.zeros_like(xpad)
         for j in range(k):
             gpad[j:j + t] += g * taps[j]
-        return gpad[half:half + t], dw, g.sum(axis=0)
+        db = g.sum(axis=0)
+        return (gpad[half:half + t], dw, db, *(db.copy() for _ in more))
 
-    return record(Tensor(acc), (x, w, b), bwd)
+    return record(Tensor(acc), (x, w, b, *more), bwd)
 
 
 def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:

@@ -5,7 +5,8 @@ enumeration, recursion) precisely so it shares no code or structure with the
 package under test. The exceptions are the earlier forms of layers the
 package has since fused (:func:`conv2d_down_reference`,
 :func:`attention_reference`, :func:`residual_reference`,
-:func:`glu_reference`), kept to show the fused form gives the same bits.
+:func:`glu_reference`, :func:`mcsgu_reference`), kept to show the fused form
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import math
 
 import numpy as np
 
-from multiconv.autodiff import Tensor, add, mul, record, reshape, scale, split_channels
-from multiconv.layers import _expit, dropout, observe, softmax
+from multiconv.autodiff import Tensor, add, mul, record, reshape, scale
+from multiconv.config import FusionKind
+from multiconv.conv_blocks import branch_major, fold_taps, mix_rows
+from multiconv.layers import _expit, depthwise_conv, dropout, grouped_conv, observe, softmax
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -206,6 +209,155 @@ def _sigmoid(x: Tensor) -> Tensor:
     """The package's earlier ``sigmoid`` tape op."""
     s = _expit(x.data)
     return record(Tensor(s), (x,), lambda g: (g * s * (1.0 - s),))
+
+
+def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
+    """The package's earlier ``slice_channels`` tape op: a copy of channels
+    [lo, hi) of the last axis; backward scatters into place."""
+    c = x.shape[-1]
+    if not (0 <= lo < hi <= c):
+        raise IndexError(f"slice_channels: range [{lo}, {hi}) invalid for {c} channels")
+    out = Tensor(x.data[..., lo:hi].copy())
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[..., lo:hi] = g
+        return (gx,)
+
+    return record(out, (x,), bwd)
+
+
+def split_channels(x: Tensor, boundary: int) -> tuple[Tensor, Tensor]:
+    """The package's earlier ``split_channels``: the last axis split at
+    ``boundary`` into two copied channel ranges, two nodes."""
+    c = x.shape[-1]
+    if not (0 < boundary < c):
+        raise IndexError(f"split_channels: boundary {boundary} out of range for {c} channels")
+    return slice_channels(x, 0, boundary), slice_channels(x, boundary, c)
+
+
+def mcsgu_reference(unit, a: Tensor) -> Tensor:
+    """``Mcsgu.__call__`` as the package computed it from generic tape ops:
+    the halves copied out by :func:`split_channels`, the right one normed by
+    ``unit.norm``, the ``sum`` fusion's biases summed by an ``add`` node, and
+    the gate a ``mul`` node. The weighted mixture is observed as before."""
+    z_l, z_r = split_channels(a, unit.half)
+    z_r = unit.norm(z_r)
+    k_max = unit.kernels[-1]
+    if unit.fusion is FusionKind.SUM:
+        w = fold_taps([conv.weight for conv in unit.branches], k_max, stack=False)
+        b = add(*(conv.bias for conv in unit.branches))
+        fused = depthwise_conv(z_r, w, b)
+    elif unit.fusion is FusionKind.WEIGHTED:
+        alpha = softmax(unit.gate(z_r))
+        observe(unit, alpha.data)
+        fused = mix_rows([conv(z_r) for conv in unit.branches], alpha)
+    else:
+        w = fold_taps([conv.weight for conv in unit.branches], k_max, stack=True)
+        fused = branch_major(grouped_conv(z_r, w), [conv.bias for conv in unit.branches])
+        if unit.final_conv is not None:
+            fused = unit.final_conv(fused)
+    return mul(z_l, fused)
+
+
+def fold_taps_loops(kernels: list[np.ndarray], width: int, stack: bool) -> np.ndarray:
+    """``fold_taps``'s merged kernel by explicit loops: each kernel's taps
+    centred in ``width`` zero taps, summed in branch order ([C, k_i] ->
+    [C, width]) or, with ``stack``, each kernel's rows placed after the
+    previous kernel's along axis 1 ([G, O_i, I, k_i] -> [G, sum O_i, I, width])."""
+    shape = [*kernels[0].shape[:-1], width]
+    if stack:
+        shape[1] = sum(w.shape[1] for w in kernels)
+    merged = np.zeros(shape, dtype=kernels[0].dtype)
+    row = 0
+    for w in kernels:
+        k = w.shape[-1]
+        off = (width - k) // 2
+        for idx in np.ndindex(*w.shape):
+            dst = list(idx)
+            dst[-1] += off
+            if stack:
+                dst[1] += row
+            merged[tuple(dst)] += w[idx]
+        row += w.shape[1]
+    return merged
+
+
+def fold_taps_grads_loops(kernels: list[np.ndarray], width: int, stack: bool,
+                          g: np.ndarray) -> list[np.ndarray]:
+    """Each kernel's gradient from the merged kernel's gradient ``g``: the
+    taps and (with ``stack``) rows it was placed at, read back one by one."""
+    grads = []
+    row = 0
+    for w in kernels:
+        off = (width - w.shape[-1]) // 2
+        gw = np.zeros_like(w)
+        for idx in np.ndindex(*w.shape):
+            src = list(idx)
+            src[-1] += off
+            if stack:
+                src[1] += row
+            gw[idx] = g[tuple(src)]
+        grads.append(gw)
+        row += w.shape[1]
+    return grads
+
+
+def branch_major_loops(y: np.ndarray, biases: list[np.ndarray]) -> np.ndarray:
+    """``branch_major`` by explicit loops: out[t, i*G + g] = y[t, g*P + i] +
+    biases[i][g] for P branches of G groups."""
+    t_len = y.shape[0]
+    p = len(biases)
+    groups = y.shape[1] // p
+    out = np.empty_like(y)
+    for t in range(t_len):
+        for i in range(p):
+            for grp in range(groups):
+                out[t, i * groups + grp] = y[t, grp * p + i] + biases[i][grp]
+    return out
+
+
+def branch_major_grads_loops(g: np.ndarray, p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``branch_major``'s gradients from the output gradient ``g``: y's is g
+    put back in group-major order, bias i's is g's block i summed over frames,
+    frame by frame."""
+    t_len = g.shape[0]
+    groups = g.shape[1] // p
+    gy = np.empty_like(g)
+    gb = [np.zeros(groups, dtype=g.dtype) for _ in range(p)]
+    for t in range(t_len):
+        for i in range(p):
+            for grp in range(groups):
+                gy[t, grp * p + i] = g[t, i * groups + grp]
+                gb[i][grp] += g[t, i * groups + grp]
+    return gy, gb
+
+
+def mix_rows_loops(parts: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
+    """``mix_rows`` in float64 by explicit loops: out[t, c] = sum_i
+    alpha[t, i] * parts[i][t, c]."""
+    t_len, channels = parts[0].shape
+    out = np.zeros((t_len, channels))
+    for t in range(t_len):
+        for c in range(channels):
+            for i, v in enumerate(parts):
+                out[t, c] += float(alpha[t, i]) * float(v[t, c])
+    return out
+
+
+def mix_rows_grads_loops(parts: list[np.ndarray], alpha: np.ndarray,
+                         g: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """``mix_rows``'s gradients in float64 by explicit loops: part i's is
+    g * alpha[:, i] per frame, alpha[t, i]'s is sum_c g[t, c] * parts[i][t, c]."""
+    t_len, channels = g.shape
+    d_parts = [np.zeros((t_len, channels)) for _ in parts]
+    d_alpha = np.zeros(alpha.shape)
+    for t in range(t_len):
+        for i, v in enumerate(parts):
+            for c in range(channels):
+                d_parts[i][t, c] = float(g[t, c]) * float(alpha[t, i])
+                d_alpha[t, i] += float(g[t, c]) * float(v[t, c])
+    return d_parts, d_alpha
 
 
 def glu_reference(x: Tensor) -> Tensor:

@@ -16,12 +16,10 @@ from multiconv.autodiff import (
     mul,
     reshape,
     scale,
-    slice_channels,
-    split_channels,
     tsum,
 )
 from multiconv.errors import ContractError, ShapeError, StateError
-from multiconv.layers import depthwise_conv, grouped_conv
+from multiconv.layers import depthwise_conv, grouped_conv, layer_norm
 
 RNG = np.random.default_rng(7)
 
@@ -220,15 +218,6 @@ def test_float32_is_preserved():
     assert x.grad.dtype == np.float32
 
 
-def test_slice_split_concat_roundtrip_and_grads():
-    x = Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
-    left, right = split_channels(x, 2)
-    assert np.array_equal(np.concatenate([left.data, right.data], axis=1), x.data)
-    with Tape():
-        backward(add(tsum(slice_channels(x, 0, 2)), tsum(slice_channels(x, 2, 6))))
-    assert np.array_equal(x.grad, np.ones((4, 6)))
-
-
 def test_matmul_bias_sums_leading_axes():
     x = Tensor(RNG.normal(size=(6, 4)))
     eye = Tensor(np.eye(4))
@@ -257,6 +246,12 @@ def test_reshape_grad_restores_layout():
     lambda: reshape(Tensor(np.ones((2, 3))), (7,)),
     lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((2, 3)))),
     lambda: depthwise_conv(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(4))),
+    # every further bias is checked, not just the first
+    lambda: depthwise_conv(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(3)),
+                           Tensor(np.ones(3)), Tensor(np.ones(4))),
+    # the width normalized is the width past lo, not the full width
+    lambda: layer_norm(Tensor(np.ones((5, 6))), Tensor(np.ones(6)), Tensor(np.zeros(6)), lo=2),
+    lambda: layer_norm(Tensor(np.ones((5, 6))), Tensor(np.ones(3)), Tensor(np.zeros(3)), lo=2),
     lambda: grouped_conv(Tensor(np.ones((5, 4))), Tensor(np.ones((2, 1, 2, 3))),
                          Tensor(np.ones(4))),
     # matmul multiplies matrices only, even over equal batch extents
@@ -265,13 +260,3 @@ def test_reshape_grad_restores_layout():
 def test_shape_errors(build):
     with pytest.raises(ShapeError):
         build()
-
-
-def test_slice_bounds_checked():
-    x = Tensor(np.ones((2, 4)))
-    with pytest.raises(IndexError):
-        slice_channels(x, 2, 5)
-    with pytest.raises(IndexError):
-        split_channels(x, 0)
-    with pytest.raises(IndexError):
-        split_channels(x, 4)

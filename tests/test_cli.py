@@ -81,6 +81,13 @@ def test_gen_data_rejects_a_nan_noise_std_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_rejects_a_negative_seed_and_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen-data", "--out", str(out)] + DATA_FLAGS + ["--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(workspace, capsys):
     _, run = workspace
     for name in ("encoder.json", "train.json", "environment.json", "model.mckpt",
@@ -352,6 +359,14 @@ def test_grad_check_passes(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert "gradient checks passed" in out[-1]
     assert not any(line.startswith("FAIL") for line in out)
+
+
+@pytest.mark.parametrize("seed", ["-1", "two"])
+def test_grad_check_seed_must_be_non_negative(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["grad-check", "--seed", seed])
+    assert exc.value.code == 1
+    assert "non-negative integer" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

@@ -207,6 +207,14 @@ def test_train_config_validation(bad):
         TrainConfig(**bad).validate()
 
 
+@pytest.mark.parametrize("cls", [EncoderConfig, DataSpec, TrainConfig])
+def test_negative_seed_is_rejected_by_name(cls):
+    # numpy would reject it later, naming no field
+    cls(seed=0).validate()
+    with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+        cls(seed=-1).validate()
+
+
 def test_zero_lr_is_legal():
     TrainConfig(lr=0.0).validate()
 

@@ -10,8 +10,6 @@ from multiconv.autodiff import (
     backward,
     matmul,
     mul,
-    slice_channels,
-    split_channels,
     tsum,
 )
 from scipy import special
@@ -24,7 +22,10 @@ from multiconv.conv_blocks import (
     FusionKind,
     Mcsgu,
     MultiConvBlock,
+    branch_major,
+    fold_taps,
     fusion_param_count,
+    mix_rows,
 )
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import observing, softmax
@@ -266,13 +267,13 @@ def _unfused(unit, a):
     Built from generic ops only: alpha[:, i] is broadcast over channels as a
     product with a row of ones, and the branch outputs are concatenated by
     0/1 placement matrices. Both are exact in float arithmetic."""
-    z_l, z_r = split_channels(a, unit.half)
+    z_l, z_r = oracles.split_channels(a, unit.half)
     z_r = unit.norm(z_r)
     outs = [conv(z_r) for conv in unit.branches]
     if unit.fusion is FusionKind.WEIGHTED:
         alpha = softmax(unit.gate(z_r))
         ones = Tensor(np.ones((1, unit.half)))
-        outs = [mul(v, matmul(slice_channels(alpha, i, i + 1), ones))
+        outs = [mul(v, matmul(oracles.slice_channels(alpha, i, i + 1), ones))
                 for i, v in enumerate(outs)]
     elif unit.fusion is not FusionKind.SUM:
         lo = 0
@@ -289,13 +290,16 @@ def _unfused(unit, a):
     return mul(z_l, fused)
 
 
-def _run_with_grads(unit, forward, a, proj):
+def _call_with_grads(unit, forward, a, proj):
+    """Output, a's gradient and every parameter gradient of one forward and
+    backward of ``forward``, with the mixtures it observed and its node count."""
     unit.zero_grad()
     at = Tensor(a, requires_grad=True)
-    with Tape():
+    with observing() as seen, Tape() as tape:
         out = forward(at)
+        nodes = len(tape)
         backward(tsum(mul(out, Tensor(proj))))
-    return [out.data, at.grad] + [t.grad for t in unit.parameters()]
+    return [out.data, at.grad, *(t.grad for t in unit.parameters())], seen.get(unit, []), nodes
 
 
 @pytest.mark.parametrize("fusion", list(FusionKind))
@@ -310,8 +314,8 @@ def test_folded_unit_matches_unfused_formula(fusion, kernels, length):
         unit.gate.weight.data = rng.normal(size=unit.gate.weight.shape)
     a = rng.normal(size=(t_len, 24))
     proj = rng.normal(size=(t_len, 12))
-    folded = _run_with_grads(unit, unit, a, proj)
-    unfused = _run_with_grads(unit, lambda at: _unfused(unit, at), a, proj)
+    folded = _call_with_grads(unit, unit, a, proj)[0]
+    unfused = _call_with_grads(unit, lambda at: _unfused(unit, at), a, proj)[0]
     assert len(folded) == 2 + len(unit.parameters())
     for got, want in zip(folded, unfused):
         assert got is not None and want is not None
@@ -332,3 +336,96 @@ def test_folded_unit_node_count_does_not_grow_with_branches(fusion):
         assert counts[1] - counts[0] == 3  # one biased conv per extra branch
     else:
         assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fusion", list(FusionKind))
+@pytest.mark.parametrize("kernels", [(3,), (3, 7, 11, 15)])
+@pytest.mark.parametrize("length", ["one", "short", "long"])
+def test_unit_matches_the_composite_reference_bit_for_bit(dtype, fusion, kernels, length):
+    # the norm and the gate read a's halves in place, and sum's biases are
+    # added inside its conv node: the same arithmetic as the copied halves,
+    # the add node and the mul node of oracles.mcsgu_reference
+    t_len = {"one": 1, "short": kernels[-1] - 1, "long": kernels[-1] + 5}[length]
+    unit = _unit(fusion, d_inter=24, kernels=kernels, seed=19).astype(dtype)
+    rng = np.random.default_rng(t_len)
+    unit.norm.gamma.data = rng.normal(size=12).astype(dtype)
+    unit.norm.beta.data = rng.normal(size=12).astype(dtype)
+    if unit.gate is not None:  # leave the uniform start so the mixture varies
+        unit.gate.weight.data = rng.normal(size=unit.gate.weight.shape).astype(dtype)
+    a = rng.normal(size=(t_len, 24)).astype(dtype)
+    proj = rng.normal(size=(t_len, 12)).astype(dtype)
+    got, got_seen, got_nodes = _call_with_grads(unit, unit, a, proj)
+    want, want_seen, want_nodes = _call_with_grads(
+        unit, lambda at: oracles.mcsgu_reference(unit, at), a, proj)
+    assert len(got) == 2 + len(unit.parameters())
+    for ours, theirs in zip(got, want):
+        assert ours.dtype == dtype and np.array_equal(ours, theirs)
+    assert len(got_seen) == len(want_seen) == (fusion is FusionKind.WEIGHTED)
+    for ours, theirs in zip(got_seen, want_seen):
+        assert np.array_equal(ours, theirs)
+    # two copies and the gate's mul become one gate node; sum also loses its add
+    assert got_nodes == want_nodes - (3 if fusion is FusionKind.SUM else 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("widths", [(3,), (1, 3, 7), (3, 7, 11, 15)])
+@pytest.mark.parametrize("stack", [False, True])
+def test_fold_taps_matches_its_loop_reference(dtype, widths, stack):
+    rng = np.random.default_rng(len(widths))
+    shapes = [(3, 2, 4, k) if stack else (6, k) for k in widths]
+    kernels = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+               for shape in shapes]
+    arrays = [w.data for w in kernels]
+    with Tape():
+        merged = fold_taps(kernels, widths[-1], stack)
+        g = rng.normal(size=merged.shape).astype(dtype)
+        backward(tsum(mul(merged, Tensor(g))))
+    want = oracles.fold_taps_loops(arrays, widths[-1], stack)
+    assert merged.dtype == dtype and np.array_equal(merged.data, want)
+    for w, gw in zip(kernels, oracles.fold_taps_grads_loops(arrays, widths[-1], stack, g)):
+        assert np.array_equal(w.grad, gw)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1, 3, 4])
+@pytest.mark.parametrize("t_len", [1, 6])
+def test_branch_major_matches_its_loop_reference(dtype, p, t_len):
+    groups = 5
+    rng = np.random.default_rng(10 * p + t_len)
+    y = Tensor(rng.normal(size=(t_len, groups * p)).astype(dtype), requires_grad=True)
+    biases = [Tensor(rng.normal(size=groups).astype(dtype), requires_grad=True)
+              for _ in range(p)]
+    g = rng.normal(size=(t_len, groups * p)).astype(dtype)
+    with Tape():
+        out = branch_major(y, biases)
+        backward(tsum(mul(out, Tensor(g))))
+    want = oracles.branch_major_loops(y.data, [b.data for b in biases])
+    assert out.dtype == dtype and np.array_equal(out.data, want)
+    gy, gb = oracles.branch_major_grads_loops(g, p)
+    assert np.array_equal(y.grad, gy)
+    for b, want_b in zip(biases, gb):
+        assert np.array_equal(b.grad, want_b)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("t_len", [1, 7])
+def test_mix_rows_matches_its_loop_reference(dtype, tol, p, t_len):
+    rng = np.random.default_rng(10 * p + t_len)
+    parts = [Tensor(rng.normal(size=(t_len, 6)).astype(dtype), requires_grad=True)
+             for _ in range(p)]
+    alpha = Tensor(oracles.softmax_rows(rng.normal(size=(t_len, p))).astype(dtype),
+                   requires_grad=True)
+    g = rng.normal(size=(t_len, 6)).astype(dtype)
+    with Tape():
+        out = mix_rows(parts, alpha)
+        backward(tsum(mul(out, Tensor(g))))
+    arrays = [v.data for v in parts]
+    d_parts, d_alpha = oracles.mix_rows_grads_loops(arrays, alpha.data, g)
+    pairs = [(out.data, oracles.mix_rows_loops(arrays, alpha.data)), (alpha.grad, d_alpha)]
+    pairs += [(v.grad, want) for v, want in zip(parts, d_parts)]
+    for got, want in pairs:
+        # within tol of the largest reference magnitude
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
