@@ -193,10 +193,10 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def check_bias(op: str, b: Tensor, out: np.ndarray) -> None:
+def check_bias(op: str, b: Tensor, out_shape: tuple) -> None:
     """An op's bias must hold one value per channel (last axis) of its output."""
-    if b.shape != out.shape[-1:]:
-        raise ShapeError(f"{op}: cannot add bias {b.shape} to {out.shape}")
+    if b.shape != out_shape[-1:]:
+        raise ShapeError(f"{op}: cannot add bias {b.shape} to {out_shape}")
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -211,7 +211,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
     y = a.data @ b.data
     if bias is not None:
-        check_bias("matmul", bias, y)
+        check_bias("matmul", bias, y.shape)
         y += bias.data
 
     def bwd(g):

@@ -26,12 +26,14 @@ With a single kernel and ``sum`` fusion the unit is the plain
 convolutional spatial gating unit; the ``csgu`` baseline block,
 :class:`CsguBlock`, is exactly that.
 
-Parameters are held per branch, but the branches run folded: ``sum`` as one
-depthwise convolution with the centred, summed kernels, which adds the
-branch biases inside its node, ``concat``/``depth``
-as one grouped convolution with the centred kernels stacked, and
-``weighted`` with its P branch outputs mixed in one step. Gradients of a
-folded kernel are cropped back to each branch.
+Parameters are held per branch, but the branches run folded inside one
+conv node, which is handed the branches' kernel and bias lists:
+``sum`` is :func:`~multiconv.layers.depthwise_conv` over the centred,
+summed kernels plus the summed biases, and ``concat``/``depth`` is
+:func:`~multiconv.layers.grouped_conv` over the centred kernels stacked,
+its output written in branch order with each branch's bias added.
+``weighted`` runs its P branch convolutions and mixes them in one step.
+Each op crops the folded kernel's gradient back to each branch.
 """
 
 from __future__ import annotations
@@ -83,41 +85,6 @@ def fusion_param_count(fusion: FusionKind, d_inter: int, kernels: Sequence[int])
     raise ConfigError(f"unhandled fusion {fusion}")
 
 
-def fold_taps(kernels: Sequence[Tensor], width: int, stack: bool) -> Tensor:
-    """Merge branch kernels into one kernel of ``width`` taps, as one tape node.
-
-    Each kernel is centred in ``width`` zero taps along its last axis. With
-    ``stack=False`` the padded kernels are summed (``sum`` fusion: [C, k_i]
-    -> [C, width]); with ``stack=True`` they are concatenated along axis 1,
-    the output-per-group axis of a grouped kernel (``concat``/``depth``:
-    [G, 1, I, k_i] -> [G, P, I, width]). Backward crops each branch's taps
-    out of the merged kernel's gradient.
-    """
-    first = kernels[0].data
-    if stack:
-        rows = sum(w.shape[1] for w in kernels)
-        merged = np.zeros((first.shape[0], rows, *first.shape[2:-1], width), dtype=first.dtype)
-    else:
-        merged = np.zeros((*first.shape[:-1], width), dtype=first.dtype)
-    spots = []
-    row = 0
-    for w in kernels:
-        k = w.shape[-1]
-        taps = slice((width - k) // 2, (width + k) // 2)
-        if stack:
-            spot = (slice(None), slice(row, row + w.shape[1]), Ellipsis, taps)
-            row += w.shape[1]
-        else:
-            spot = (Ellipsis, taps)
-        merged[spot] += w.data
-        spots.append(spot)
-
-    def bwd(g):
-        return [g[spot].copy() for spot in spots]
-
-    return record(Tensor(merged), tuple(kernels), bwd)
-
-
 def mix_rows(parts: Sequence[Tensor], alpha: Tensor) -> Tensor:
     """Per-frame mixture sum_i alpha[t, i] * parts[i][t, :] of P [T, C]
     tensors by alpha[T, P], as one tape node."""
@@ -132,25 +99,6 @@ def mix_rows(parts: Sequence[Tensor], alpha: Tensor) -> Tensor:
         return (*grads, d_alpha)
 
     return record(Tensor(acc), (*parts, alpha), bwd)
-
-
-def branch_major(y: Tensor, biases: Sequence[Tensor]) -> Tensor:
-    """Reorder a folded grouped conv's output [T, G*P] (group-major: channel
-    g*P + i is branch i, group g) into the branch-major order of
-    concatenated branch outputs (channel i*G + g), adding branch i's bias
-    [G] to its block, as one tape node."""
-    t = y.shape[0]
-    p = len(biases)
-    groups = y.shape[1] // p
-    bias = np.concatenate([b.data for b in biases])
-    out = y.data.reshape(t, groups, p).transpose(0, 2, 1).reshape(t, p * groups) + bias
-
-    def bwd(g):
-        gy = g.reshape(t, p, groups).transpose(0, 2, 1).reshape(t, groups * p)
-        gb = g.sum(axis=0)
-        return (gy, *(gb[i * groups:(i + 1) * groups] for i in range(p)))
-
-    return record(Tensor(out), (y, *biases), bwd)
 
 
 def gate(a: Tensor, v: Tensor) -> Tensor:
@@ -211,19 +159,18 @@ class Mcsgu(Module):
         if a.ndim != 2 or a.shape[1] != self.d_inter:
             raise ShapeError(f"gating unit expects [T, {self.d_inter}], got {a.shape}")
         z = layer_norm(a, self.norm.gamma, self.norm.beta, lo=self.half)
-        k_max = self.kernels[-1]
         # the branch parameters are read on every call, so swapping one
         # (as the gradient audit does) reaches the folded kernel
+        weights = [conv.weight for conv in self.branches]
+        biases = [conv.bias for conv in self.branches]
         if self.fusion is FusionKind.SUM:
-            w = fold_taps([conv.weight for conv in self.branches], k_max, stack=False)
-            fused = depthwise_conv(z, w, *(conv.bias for conv in self.branches))
+            fused = depthwise_conv(z, weights, biases)
         elif self.fusion is FusionKind.WEIGHTED:
             alpha = softmax(self.gate(z))
             observe(self, alpha.data)
             fused = mix_rows([conv(z) for conv in self.branches], alpha)
         else:
-            w = fold_taps([conv.weight for conv in self.branches], k_max, stack=True)
-            fused = branch_major(grouped_conv(z, w), [conv.bias for conv in self.branches])
+            fused = grouped_conv(z, weights, biases)
             if self.final_conv is not None:
                 fused = self.final_conv(fused)
         return gate(a, fused)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -69,14 +70,16 @@ def _horner(coeffs: tuple[float, ...], x2: np.ndarray, out: np.ndarray) -> np.nd
 
 def _erf(x: np.ndarray) -> np.ndarray:
     """Error function: scipy in float64; in float32 Eigen's rational form,
-    evaluated in place on three buffers, with scipy for |x| > 2.5."""
+    evaluated in place on three buffers, with scipy for |x| > 2.5. The
+    rational is not clipped to [-4, 4]: past 2.5 scipy overwrites it, so the
+    overflow of a huge x's square is ignored."""
     if x.dtype != np.float32:
         return special.erf(x)
-    c = np.clip(x, -4.0, 4.0)
-    x2 = c * c
-    p = _horner(_ERF_P, x2, np.empty_like(c))
-    p *= c
-    p /= _horner(_ERF_Q, x2, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        p = _horner(_ERF_P, x2, np.empty_like(x))
+        p *= x
+        p /= _horner(_ERF_Q, x2, np.empty_like(x))
     tail = np.flatnonzero(x2 > _ERF_TAIL * _ERF_TAIL)
     p.flat[tail] = special.erf(x.flat[tail])
     return p
@@ -304,39 +307,72 @@ class LayerNorm(Module):
         return layer_norm(x, self.gamma, self.beta)
 
 
-def depthwise_conv(x: Tensor, w: Tensor, b: Tensor, *more: Tensor) -> Tensor:
-    """Per-channel convolution over time of x[T, C] with w[C, k] and bias
-    b[C], same-length zero padding (k odd):
-    out[t, c] = sum_j x[t + j - k//2, c] * w[c, j] + b[c].
+def _fold(op: str, weights: Sequence[Tensor], biases: Sequence[Tensor], lead: tuple,
+          out_shape: tuple) -> tuple[np.ndarray, list[slice]]:
+    """Check a conv op's kernel list and bias list, and centre the kernels.
 
-    Further biases ``more`` are added inside the node as one bias, summed
-    b + more[0] + ... in that order; each gets its own copy of db.
-    Runs as one shifted multiply-add per tap, forward and backward.
+    Kernel i is [*lead, k_i] with k_i odd, and its bias i fits ``out_shape``.
+    Returns the kernels zero-padded on both sides to the widest width and
+    stacked, [P, *lead, k_max] (one kernel comes back as a view of itself),
+    with the slice each one's own taps take there; the op sums or stacks
+    them and crops their gradients back.
     """
+    if not weights or len(biases) != len(weights):
+        raise ShapeError(f"{op}: {len(weights)} kernels need one bias each, got {len(biases)}")
+    for w in weights:
+        if w.shape[:-1] != lead or w.shape[-1] % 2 == 0:
+            raise ShapeError(f"{op}: kernel {w.shape} is not [{', '.join(map(str, lead))}, odd k]")
+    for b in biases:
+        check_bias(op, b, out_shape)
+    if len(weights) == 1:  # the plain convolution: nothing to centre
+        return weights[0].data[None], [slice(None)]
+    width = max(w.shape[-1] for w in weights)
+    taps = [slice((width - w.shape[-1]) // 2, (width + w.shape[-1]) // 2) for w in weights]
+    stacked = np.zeros((len(weights), *lead, width), dtype=weights[0].dtype)
+    for row, w, s in zip(stacked, weights, taps):
+        row[..., s] = w.data
+    return stacked, taps
+
+
+def depthwise_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """Per-channel convolution over time of x[T, C] with the kernels
+    weights[i][C, k_i] summed, each centred in the widest, plus the biases
+    b_i[C] summed in list order, same-length zero padding (k_i odd). One
+    kernel k is the plain convolution
+    out[t, c] = sum_j x[t + j - k//2, c] * w[c, j] + b[c];
+    more kernels are the ``sum`` fusion of their convolutions, folded.
+
+    Runs as one shifted multiply-add per tap, forward and backward, in one
+    node; each kernel's gradient is cropped from the summed kernel's and
+    each bias gets its own copy of db.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"depthwise_conv: x must be [T, C], got {x.shape}")
     t, c = x.shape
+    stacked, spots = _fold("depthwise_conv", weights, biases, (c,), x.shape)
+    w = sum(stacked[1:], stacked[0])
     k = w.shape[1]
     half = k // 2
-    taps = np.ascontiguousarray(w.data.T)  # [k, C]: each tap one contiguous row
+    taps = np.ascontiguousarray(w.T)  # [k, C]: each tap one contiguous row
     xpad = np.zeros((t + k - 1, c), dtype=x.data.dtype)
     xpad[half:half + t] = x.data
     acc = np.zeros((t, c), dtype=x.data.dtype)
     for j in range(k):
         acc += xpad[j:j + t] * taps[j]
-    for bias in (b, *more):
-        check_bias("depthwise_conv", bias, acc)
-    acc += sum((bias.data for bias in more), b.data)
+    acc += sum((b.data for b in biases[1:]), biases[0].data)
 
     def bwd(g):
-        dw = np.empty_like(w.data)
+        dw = np.empty_like(w)
         for j in range(k):
             dw[:, j] = np.einsum("tc,tc->c", xpad[j:j + t], g)
         gpad = np.zeros_like(xpad)
         for j in range(k):
             gpad[j:j + t] += g * taps[j]
         db = g.sum(axis=0)
-        return (gpad[half:half + t], dw, db, *(db.copy() for _ in more))
+        return (gpad[half:half + t], *(dw[:, s].copy() for s in spots),
+                db, *(db.copy() for _ in biases[1:]))
 
-    return record(Tensor(acc), (x, w, b, *more), bwd)
+    return record(Tensor(acc), (x, *weights, *biases), bwd)
 
 
 def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:
@@ -353,35 +389,49 @@ def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:
     return np.ascontiguousarray(win)
 
 
-def grouped_conv(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Grouped convolution over time of x[T, G*I] with w[G, O, I, k], same-length
-    zero padding (k odd), plus the bias b[G*O] when given. Output block g
-    (channels g*O .. g*O+O-1) is computed from input block g only.
+def grouped_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """Grouped convolution over time of x[T, G*I] with each kernel
+    weights[i][G, O, I, k_i], same-length zero padding (k_i odd): the
+    concatenation, in list order, of each kernel's output [T, G*O] plus its
+    bias b_i[G*O]. Output block g of a kernel (channels g*O .. g*O+O-1) is
+    computed from input block g only. More kernels are the ``concat``
+    fusion of their convolutions, folded.
 
-    Runs as im2col plus one batched matmul over the groups. Backward gets dW
-    from the saved columns by a second batched matmul, and dx as the same
+    The kernels, each centred in the widest, are stacked into one kernel
+    with P*O outputs per group, which runs as im2col plus one batched
+    matmul over the groups; its group-major output is written out in
+    kernel order. Backward gets dW from the saved columns by a second
+    batched matmul, cropped back to each kernel, and dx as the same
     convolution of the output gradient with the in/out-swapped, tap-flipped
-    kernel.
+    kernel, all in one node.
     """
-    groups, opg, ipg, k = w.shape
+    if (x.ndim != 2 or not weights or weights[0].ndim != 4
+            or weights[0].shape[0] * weights[0].shape[2] != x.shape[1]):
+        raise ShapeError(f"grouped_conv: x {x.shape} is not [T, G*I] for the kernels "
+                         f"[G, O, I, k] {[w.shape for w in weights]}")
+    groups, opg, ipg, _ = weights[0].shape
     t = x.shape[0]
+    stacked, spots = _fold("grouped_conv", weights, biases, (groups, opg, ipg), (t, groups * opg))
+    p, k = len(weights), stacked.shape[-1]
+    rows = p * opg
+    w = stacked.transpose(1, 0, 2, 3, 4).reshape(groups, rows, ipg, k)  # [G, P*O, I, k]
     cols = _im2col(x.data, k, groups)  # [G, T, k*I]
-    w2 = w.data.transpose(0, 1, 3, 2).reshape(groups, opg, k * ipg)
-    y = cols @ w2.transpose(0, 2, 1)  # [G, T, O]
-    out = y.transpose(1, 0, 2).reshape(t, groups * opg)
-    if b is not None:
-        check_bias("grouped_conv", b, out)
-        out += b.data
+    w2 = w.transpose(0, 1, 3, 2).reshape(groups, rows, k * ipg)
+    y = cols @ w2.transpose(0, 2, 1)  # [G, T, P*O]
+    out = y.reshape(groups, t, p, opg).transpose(1, 2, 0, 3).reshape(t, p * groups * opg)
+    out += np.concatenate([b.data for b in biases])
 
     def bwd(g):
-        g3 = g.reshape(t, groups, opg).transpose(1, 2, 0)  # [G, O, T]
-        dw = (g3 @ cols).reshape(groups, opg, k, ipg).transpose(0, 1, 3, 2)
-        flipped = w.data[..., ::-1].transpose(0, 2, 3, 1).reshape(groups, ipg, k * opg)
-        dx = _im2col(g, k, groups) @ flipped.transpose(0, 2, 1)  # [G, T, I]
-        grads = dx.transpose(1, 0, 2).reshape(t, groups * ipg), np.ascontiguousarray(dw)
-        return grads if b is None else (*grads, g.sum(axis=0))
+        gy = g.reshape(t, p, groups, opg).transpose(0, 2, 1, 3).reshape(t, groups * rows)
+        g3 = gy.reshape(t, groups, rows).transpose(1, 2, 0)  # [G, P*O, T]
+        dw = (g3 @ cols).reshape(groups, p, opg, k, ipg).transpose(0, 1, 2, 4, 3)
+        flipped = w[..., ::-1].transpose(0, 2, 3, 1).reshape(groups, ipg, k * rows)
+        dx = _im2col(gy, k, groups) @ flipped.transpose(0, 2, 1)  # [G, T, I]
+        db = g.sum(axis=0).reshape(p, groups * opg)
+        return (dx.transpose(1, 0, 2).reshape(t, groups * ipg),
+                *(dw[:, i, ..., s].copy() for i, s in enumerate(spots)), *db)
 
-    return record(Tensor(out), (x, w) if b is None else (x, w, b), bwd)
+    return record(Tensor(out), (x, *weights, *biases), bwd)
 
 
 class DepthwiseConv1d(Module):
@@ -394,15 +444,12 @@ class DepthwiseConv1d(Module):
     def __init__(self, channels: int, kernel: int, rng: np.random.Generator):
         (kernel,) = check_kernels((kernel,))
         self.kernel = kernel
-        self.channels = channels
         bound = 1.0 / math.sqrt(kernel)
         self.weight = _uniform(rng, (channels, kernel), bound)
         self.bias = _uniform(rng, (channels,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.channels:
-            raise ShapeError(f"depthwise conv over {self.channels} channels got {x.shape}")
-        return depthwise_conv(x, self.weight, self.bias)
+        return depthwise_conv(x, [self.weight], [self.bias])
 
 
 class GroupedConv1d(Module):
@@ -419,7 +466,6 @@ class GroupedConv1d(Module):
         if groups < 1 or in_channels % groups or out_channels % groups:
             raise ConfigError(
                 f"groups={groups} must divide in={in_channels} and out={out_channels}")
-        self.in_channels = in_channels
         ipg = in_channels // groups
         opg = out_channels // groups
         bound = 1.0 / math.sqrt(ipg * kernel)
@@ -427,9 +473,7 @@ class GroupedConv1d(Module):
         self.bias = _uniform(rng, (out_channels,), bound)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"grouped conv over {self.in_channels} channels got {x.shape}")
-        return grouped_conv(x, self.weight, self.bias)
+        return grouped_conv(x, [self.weight], [self.bias])
 
 
 class Conv2dDown(Module):

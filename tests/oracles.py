@@ -3,10 +3,11 @@
 Everything here is written the slow, obvious way (explicit loops, full path
 enumeration, recursion) precisely so it shares no code or structure with the
 package under test. The exceptions are the earlier forms of layers the
-package has since fused (:func:`conv2d_down_reference`,
+package has since fused or trimmed (:func:`conv2d_down_reference`,
 :func:`attention_reference`, :func:`residual_reference`,
-:func:`glu_reference`, :func:`mcsgu_reference`), kept to show the fused form
-gives the same bits.
+:func:`glu_reference`, :func:`mcsgu_reference` with :func:`fold_taps` and
+:func:`branch_major`, :func:`erf_clipped`), kept to show the new form gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import itertools
 import math
 
 import numpy as np
+from scipy import special
 
 from multiconv.autodiff import Tensor, add, mul, record, reshape, scale
 from multiconv.config import FusionKind
-from multiconv.conv_blocks import branch_major, fold_taps, mix_rows
-from multiconv.layers import _expit, depthwise_conv, dropout, grouped_conv, observe, softmax
+from multiconv.conv_blocks import mix_rows
+from multiconv.layers import (_ERF_P, _ERF_Q, _ERF_TAIL, _expit, _horner, depthwise_conv, dropout,
+                              grouped_conv, observe, softmax)
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -236,28 +239,109 @@ def split_channels(x: Tensor, boundary: int) -> tuple[Tensor, Tensor]:
     return slice_channels(x, 0, boundary), slice_channels(x, boundary, c)
 
 
+def fold_taps(kernels: list[Tensor], width: int, stack: bool) -> Tensor:
+    """The package's earlier kernel fold, one tape node: each kernel centred
+    in ``width`` zero taps along its last axis, then summed ([C, k_i] ->
+    [C, width]) or, with ``stack``, concatenated along axis 1 ([G, O_i, I,
+    k_i] -> [G, sum O_i, I, width]). Backward crops each kernel's taps out
+    of the merged kernel's gradient."""
+    first = kernels[0].data
+    if stack:
+        rows = sum(w.shape[1] for w in kernels)
+        merged = np.zeros((first.shape[0], rows, *first.shape[2:-1], width), dtype=first.dtype)
+    else:
+        merged = np.zeros((*first.shape[:-1], width), dtype=first.dtype)
+    spots = []
+    row = 0
+    for w in kernels:
+        k = w.shape[-1]
+        taps = slice((width - k) // 2, (width + k) // 2)
+        if stack:
+            spot = (slice(None), slice(row, row + w.shape[1]), Ellipsis, taps)
+            row += w.shape[1]
+        else:
+            spot = (Ellipsis, taps)
+        merged[spot] += w.data
+        spots.append(spot)
+
+    def bwd(g):
+        return [g[spot].copy() for spot in spots]
+
+    return record(Tensor(merged), tuple(kernels), bwd)
+
+
+def branch_major(y: Tensor, biases: list[Tensor]) -> Tensor:
+    """The package's earlier reorder node: a folded grouped conv's output
+    [T, G*P] (group-major: channel g*P + i is branch i, group g) put in
+    the branch-major order of concatenated branch outputs (channel i*G + g),
+    adding branch i's bias [G] to its block."""
+    t = y.shape[0]
+    p = len(biases)
+    groups = y.shape[1] // p
+    bias = np.concatenate([b.data for b in biases])
+    out = y.data.reshape(t, groups, p).transpose(0, 2, 1).reshape(t, p * groups) + bias
+
+    def bwd(g):
+        gy = g.reshape(t, p, groups).transpose(0, 2, 1).reshape(t, groups * p)
+        gb = g.sum(axis=0)
+        return (gy, *(gb[i * groups:(i + 1) * groups] for i in range(p)))
+
+    return record(Tensor(out), (y, *biases), bwd)
+
+
+def depthwise_composite(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """The ``sum`` fold as the package wrote it, three nodes: a
+    :func:`fold_taps` node, an ``add`` node for the biases and a
+    one-kernel ``depthwise_conv``."""
+    width = max(w.shape[-1] for w in weights)
+    return depthwise_conv(x, [fold_taps(weights, width, stack=False)], [add(*biases)])
+
+
+def grouped_composite(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """The ``concat`` fold of one-output-per-group kernels as the package
+    wrote it, three nodes: a stacking :func:`fold_taps` node, a one-kernel
+    ``grouped_conv`` and a :func:`branch_major` node that adds the biases.
+    (The conv's own bias is zero: the earlier op had none.)"""
+    width = max(w.shape[-1] for w in weights)
+    merged = fold_taps(weights, width, stack=True)
+    zero = Tensor(np.zeros(merged.shape[0] * merged.shape[1], dtype=merged.dtype))
+    return branch_major(grouped_conv(x, [merged], [zero]), biases)
+
+
 def mcsgu_reference(unit, a: Tensor) -> Tensor:
     """``Mcsgu.__call__`` as the package computed it from generic tape ops:
     the halves copied out by :func:`split_channels`, the right one normed by
-    ``unit.norm``, the ``sum`` fusion's biases summed by an ``add`` node, and
-    the gate a ``mul`` node. The weighted mixture is observed as before."""
+    ``unit.norm``, the ``sum`` and ``concat`` folds as
+    :func:`depthwise_composite` and :func:`grouped_composite`, and the gate
+    a ``mul`` node. The weighted mixture is observed as before."""
     z_l, z_r = split_channels(a, unit.half)
     z_r = unit.norm(z_r)
-    k_max = unit.kernels[-1]
+    weights = [conv.weight for conv in unit.branches]
+    biases = [conv.bias for conv in unit.branches]
     if unit.fusion is FusionKind.SUM:
-        w = fold_taps([conv.weight for conv in unit.branches], k_max, stack=False)
-        b = add(*(conv.bias for conv in unit.branches))
-        fused = depthwise_conv(z_r, w, b)
+        fused = depthwise_composite(z_r, weights, biases)
     elif unit.fusion is FusionKind.WEIGHTED:
         alpha = softmax(unit.gate(z_r))
         observe(unit, alpha.data)
         fused = mix_rows([conv(z_r) for conv in unit.branches], alpha)
     else:
-        w = fold_taps([conv.weight for conv in unit.branches], k_max, stack=True)
-        fused = branch_major(grouped_conv(z_r, w), [conv.bias for conv in unit.branches])
+        fused = grouped_composite(z_r, weights, biases)
         if unit.final_conv is not None:
             fused = unit.final_conv(fused)
     return mul(z_l, fused)
+
+
+def erf_clipped(x: np.ndarray) -> np.ndarray:
+    """The package's earlier float32 ``_erf``: x clipped to [-4, 4] first,
+    Q evaluated in the clipped copy, scipy for |x| > 2.5."""
+    c = np.clip(x, -4.0, 4.0)
+    x2 = c * c
+    p = _horner(_ERF_P, x2, np.empty_like(c))
+    p *= c
+    p /= _horner(_ERF_Q, x2, c)
+    tail = np.flatnonzero(x2 > _ERF_TAIL * _ERF_TAIL)
+    p.flat[tail] = special.erf(x.flat[tail])
+    return p
 
 
 def fold_taps_loops(kernels: list[np.ndarray], width: int, stack: bool) -> np.ndarray:

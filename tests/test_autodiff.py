@@ -235,6 +235,10 @@ def test_reshape_grad_restores_layout():
     assert np.array_equal(x.grad, coeff.data.reshape(6, 2))
 
 
+def _ones(*shape: int) -> Tensor:
+    return Tensor(np.ones(shape))
+
+
 @pytest.mark.parametrize("build", [
     lambda: add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
     lambda: mul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))),
@@ -245,17 +249,35 @@ def test_reshape_grad_restores_layout():
     lambda: add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
     lambda: reshape(Tensor(np.ones((2, 3))), (7,)),
     lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((2, 3)))),
-    lambda: depthwise_conv(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(4))),
+    lambda: depthwise_conv(_ones(5, 3), [_ones(3, 3)], [_ones(4)]),
     # every further bias is checked, not just the first
-    lambda: depthwise_conv(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(3)),
-                           Tensor(np.ones(3)), Tensor(np.ones(4))),
+    lambda: depthwise_conv(_ones(5, 3), [_ones(3, 1), _ones(3, 3), _ones(3, 5)],
+                           [_ones(3), _ones(3), _ones(4)]),
     # the width normalized is the width past lo, not the full width
     lambda: layer_norm(Tensor(np.ones((5, 6))), Tensor(np.ones(6)), Tensor(np.zeros(6)), lo=2),
     lambda: layer_norm(Tensor(np.ones((5, 6))), Tensor(np.ones(3)), Tensor(np.zeros(3)), lo=2),
-    lambda: grouped_conv(Tensor(np.ones((5, 4))), Tensor(np.ones((2, 1, 2, 3))),
-                         Tensor(np.ones(4))),
+    lambda: grouped_conv(_ones(5, 4), [_ones(2, 1, 2, 3)], [_ones(4)]),
     # matmul multiplies matrices only, even over equal batch extents
     lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 2)))),
+    # the conv ops check their own operands: x is [T, C], a kernel is not
+    # broadcast over the channels, its width is odd, and each kernel of a
+    # list has its own bias
+    lambda: depthwise_conv(_ones(5, 4), [_ones(1, 3)], [_ones(4)]),
+    lambda: depthwise_conv(_ones(5, 4), [_ones(4, 2)], [_ones(4)]),
+    lambda: depthwise_conv(_ones(5, 4), [_ones(4, 3), _ones(4, 4)], [_ones(4), _ones(4)]),
+    lambda: depthwise_conv(_ones(2, 5, 4), [_ones(4, 3)], [_ones(4)]),
+    lambda: depthwise_conv(_ones(5, 3), [_ones(3, 1), _ones(3, 3)], [_ones(3)]),
+    # the kernel's groups read all of x's channels; stacked kernels share
+    # their group, output and input extents
+    lambda: grouped_conv(_ones(5, 6), [_ones(2, 1, 2, 3)], [_ones(2)]),
+    lambda: grouped_conv(_ones(5, 4), [_ones(2, 1, 2, 4)], [_ones(2)]),
+    lambda: grouped_conv(_ones(5, 4), [_ones(2, 2, 3)], [_ones(2)]),
+    lambda: grouped_conv(_ones(5, 1, 4), [_ones(2, 1, 2, 3)], [_ones(2)]),
+    lambda: grouped_conv(_ones(5, 4), [_ones(2, 1, 2, 3), _ones(2, 2, 2, 5)],
+                         [_ones(2), _ones(4)]),
+    lambda: grouped_conv(_ones(5, 4), [_ones(2, 1, 2, 3), _ones(2, 1, 2, 6)],
+                         [_ones(2), _ones(2)]),
+    lambda: grouped_conv(_ones(5, 4), [_ones(2, 1, 2, 3)], []),
 ])
 def test_shape_errors(build):
     with pytest.raises(ShapeError):

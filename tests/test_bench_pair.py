@@ -199,6 +199,37 @@ def test_step_pairs_run_once_after_every_workload_and_land_in_the_output(monkeyp
     assert json.loads(out.read_text())["steps"] == STEP_SECTION
 
 
+def test_a_step_cell_above_1_02_is_measured_again_in_a_fresh_child(monkeypatch, tmp_path,
+                                                                   capsys):
+    calls = _stub(monkeypatch)
+    perfbench = bench_pair.subprocess.run
+    again = json.dumps({"w": ["sum", "depth"]})
+    sections = {
+        "null": {"workloads": {"w": {"sum": {"ratio": 1.03}, "csgu": {"ratio": 1.02},
+                                     "depth": {"ratio": 1.05}}}},
+        again: {"workloads": {"w": {"sum": {"ratio": 0.99}, "depth": {"ratio": 1.04}}}},
+    }
+
+    def run(cmd, **kwargs):
+        if cmd[1] != "-c":
+            return perfbench(cmd, **kwargs)
+        calls.append(("steps", cmd[4]))
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(sections[cmd[4]]) + "\n", "")
+
+    monkeypatch.setattr(bench_pair, "subprocess", types.SimpleNamespace(run=run))
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--base", "HEAD", "--out", str(out), "--scratch", str(tmp_path / "s"),
+                            "w:2"]) == 0
+    assert [c for c in calls if c[0] == "steps"] == [("steps", "null"), ("steps", again)]
+    cells = json.loads(out.read_text())["steps"]["workloads"]["w"]
+    assert cells["sum"] == {"ratio": 1.03, "rerun": {"ratio": 0.99}}
+    assert cells["depth"] == {"ratio": 1.05, "rerun": {"ratio": 1.04}}
+    assert cells["csgu"] == {"ratio": 1.02}  # at the bound, not above it
+    named = [line for line in capsys.readouterr().err.splitlines() if "twice" in line]
+    assert named == ["bench_pair: step cell w depth is above 1.02 twice: 1.050, then 1.040 "
+                     "in a fresh child"]
+
+
 def test_failed_step_pairs_stop_with_their_stderr_and_write_nothing(monkeypatch, tmp_path):
     _stub(monkeypatch, fail_steps=True)
     out = tmp_path / "BENCH.json"
@@ -251,3 +282,12 @@ def test_step_ratios_load_two_trees_under_two_names():
     base, head = sys.modules["bench_base"], sys.modules["bench_head"]
     assert base is not head and base.Tensor is not head.Tensor
     assert base.layers.__name__ == "bench_base.layers"
+
+
+def test_step_ratios_measure_only_the_named_cells():
+    src = bench_pair.ROOT / "src"
+    section = bench_pair.step_ratios(src, src, rounds=2, variants=bench_pair.VARIANTS[:2],
+                                     workloads=("train-toy", "decode-toy"),
+                                     only={"train-toy": [], "decode-toy": ["weighted"]})
+    assert list(section["workloads"]) == ["decode-toy"]
+    assert list(section["workloads"]["decode-toy"]) == ["weighted"]

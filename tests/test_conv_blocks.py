@@ -22,8 +22,6 @@ from multiconv.conv_blocks import (
     FusionKind,
     Mcsgu,
     MultiConvBlock,
-    branch_major,
-    fold_taps,
     fusion_param_count,
     mix_rows,
 )
@@ -343,9 +341,9 @@ def test_folded_unit_node_count_does_not_grow_with_branches(fusion):
 @pytest.mark.parametrize("kernels", [(3,), (3, 7, 11, 15)])
 @pytest.mark.parametrize("length", ["one", "short", "long"])
 def test_unit_matches_the_composite_reference_bit_for_bit(dtype, fusion, kernels, length):
-    # the norm and the gate read a's halves in place, and sum's biases are
-    # added inside its conv node: the same arithmetic as the copied halves,
-    # the add node and the mul node of oracles.mcsgu_reference
+    # the norm and the gate read a's halves in place, and the folds run
+    # inside the conv nodes: the same arithmetic as the copied halves, the
+    # fold, add, reorder and mul nodes of oracles.mcsgu_reference
     t_len = {"one": 1, "short": kernels[-1] - 1, "long": kernels[-1] + 5}[length]
     unit = _unit(fusion, d_inter=24, kernels=kernels, seed=19).astype(dtype)
     rng = np.random.default_rng(t_len)
@@ -364,8 +362,9 @@ def test_unit_matches_the_composite_reference_bit_for_bit(dtype, fusion, kernels
     assert len(got_seen) == len(want_seen) == (fusion is FusionKind.WEIGHTED)
     for ours, theirs in zip(got_seen, want_seen):
         assert np.array_equal(ours, theirs)
-    # two copies and the gate's mul become one gate node; sum also loses its add
-    assert got_nodes == want_nodes - (3 if fusion is FusionKind.SUM else 2)
+    # two copies and the gate's mul become one gate node; sum also loses its
+    # add and fold_taps nodes, concat/depth their fold_taps and branch_major
+    assert got_nodes == want_nodes - (2 if fusion is FusionKind.WEIGHTED else 4)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -378,7 +377,7 @@ def test_fold_taps_matches_its_loop_reference(dtype, widths, stack):
                for shape in shapes]
     arrays = [w.data for w in kernels]
     with Tape():
-        merged = fold_taps(kernels, widths[-1], stack)
+        merged = oracles.fold_taps(kernels, widths[-1], stack)
         g = rng.normal(size=merged.shape).astype(dtype)
         backward(tsum(mul(merged, Tensor(g))))
     want = oracles.fold_taps_loops(arrays, widths[-1], stack)
@@ -398,7 +397,7 @@ def test_branch_major_matches_its_loop_reference(dtype, p, t_len):
               for _ in range(p)]
     g = rng.normal(size=(t_len, groups * p)).astype(dtype)
     with Tape():
-        out = branch_major(y, biases)
+        out = oracles.branch_major(y, biases)
         backward(tsum(mul(out, Tensor(g))))
     want = oracles.branch_major_loops(y.data, [b.data for b in biases])
     assert out.dtype == dtype and np.array_equal(out.data, want)

@@ -112,6 +112,25 @@ def test_float64_activations_are_scipy_bit_for_bit():
         assert np.array_equal(got[name], ref), name
 
 
+def test_float32_erf_without_its_clip_is_the_clipped_form_bytes_for_bytes():
+    # the rational runs unclipped: where x**2 overflows (1e19 and up) its
+    # value is garbage, but scipy's tail overwrites everything past 2.5
+    points = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-40, -1e-40,
+              1e19, -1e19, 1e30, -1e30, 3.4e38, -3.4e38]
+    edges = np.array([2.5, -2.5, 4.0, -4.0], dtype=np.float32)
+    x = np.concatenate([
+        np.array(points, dtype=np.float32),
+        edges, np.nextafter(edges, np.float32(np.inf)), np.nextafter(edges, np.float32(-np.inf)),
+        np.linspace(-10.0, 10.0, 400_001, dtype=np.float32),
+    ])
+    before = x.copy()
+    with np.errstate(all="raise", under="ignore"):
+        got = _erf(x)
+    assert got.dtype == np.float32
+    assert got.tobytes() == oracles.erf_clipped(x).tobytes()
+    assert x.tobytes() == before.tobytes()  # the caller's array is not written
+
+
 def test_softmax_rows_sum_to_one_and_match_reference():
     z = RNG.normal(size=(5, 7)) * 3
     y = softmax(Tensor(z)).data
@@ -356,14 +375,17 @@ def test_grouped_conv_op_and_gradients_match_loop_oracles(t_len, groups, opg, ip
     x = RNG.normal(size=(t_len, groups * ipg))
     w = RNG.normal(size=(groups, opg, ipg, kernel))
     g = RNG.normal(size=(t_len, groups * opg))
+    b = RNG.normal(size=groups * opg)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True)
     with Tape():
-        y = grouped_conv(xt, wt)
+        y = grouped_conv(xt, [wt], [bt])
         backward(tsum(mul(y, Tensor(g))))
-    assert np.allclose(y.data, oracles.grouped_conv_loops(x, w, None, groups), atol=1e-12)
+    assert np.allclose(y.data, oracles.grouped_conv_loops(x, w, b, groups), atol=1e-12)
     dx, dw = oracles.grouped_conv_grads_loops(x, w, g, groups)
     assert np.allclose(xt.grad, dx, atol=1e-12)
     assert np.allclose(wt.grad, dw, atol=1e-12)
+    assert np.allclose(bt.grad, g.sum(axis=0), atol=1e-12)
 
 
 @pytest.mark.parametrize("t_len,kernel", [(1, 3), (4, 7), (13, 5)])
@@ -377,7 +399,7 @@ def test_depthwise_conv_op_gradients_match_grouped_oracle(t_len, kernel):
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     bt = Tensor(b, requires_grad=True)
     with Tape():
-        y = depthwise_conv(xt, wt, bt)
+        y = depthwise_conv(xt, [wt], [bt])
         backward(tsum(mul(y, Tensor(g))))
     assert np.allclose(y.data, oracles.depthwise_conv_loops(x, w, b), atol=1e-12)
     dx, dw = oracles.grouped_conv_grads_loops(x, w.reshape(c, 1, 1, kernel), g, c)
