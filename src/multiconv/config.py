@@ -79,13 +79,16 @@ def check_gate_width(d_inter: int, fusion: FusionKind, n_kernels: int) -> None:
 
 def _check_fields(cfg) -> None:
     """Reject NaN or an infinity in any float field of ``cfg`` (NaN passes
-    every ordered range check of ``validate``) and a negative seed."""
+    every ordered range check of ``validate``), a negative seed, and fewer
+    mel bins than the subsampler's two conv stages need."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "float" and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if f.name == "seed" and value < 0:
             raise ConfigError(f"seed must be non-negative, got {value}")
+        if f.name == "n_mels" and value < SUBSAMPLER_FLOOR:
+            raise ConfigError(f"n_mels must be at least {SUBSAMPLER_FLOOR} for the two conv stages")
 
 
 def _typed(name: str, annotation: str, value, path):
@@ -185,8 +188,6 @@ class EncoderConfig(_JsonMixin):
         check_gate_width(self.inter_width,
                          fusion if self.conv_block == "multiconv" else FusionKind.SUM,
                          len(self.kernels))
-        if self.n_mels < SUBSAMPLER_FLOOR:
-            raise ConfigError(f"n_mels must be at least {SUBSAMPLER_FLOOR} for the two conv stages")
         if self.vocab < 1:
             raise ConfigError("vocab must be positive")
         if not 0.0 <= self.dropout < 1.0:

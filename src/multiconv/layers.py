@@ -19,9 +19,10 @@ dropout mask from the active tape's generator, and modules hand diagnostic
 arrays to :func:`observe`, which records them only inside :func:`observing`.
 
 The activations' transcendentals branch on the array's dtype. float64 calls
-``scipy.special``. float32 uses vectorised numpy forms, a rational ``erf``
-and a tanh-form ``expit``, each within 1e-6 absolute of float64 scipy;
-scipy runs float32 element by element and is several times slower.
+``scipy.special``. float32 uses vectorised numpy forms, one rational for
+GELU's normal CDF (:func:`_phi`) and a tanh-form ``expit``, each within
+1e-6 absolute of float64 scipy; scipy runs float32 element by element and
+is several times slower.
 """
 
 from __future__ import annotations
@@ -42,47 +43,43 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LN_EPS = 1e-12
 
-# Eigen's float erf (SpecialFunctionsImpl.h): erf(x) = x * P(x^2) / Q(x^2) on
-# [-4, 4], outside which float32 erf is +-1. Highest degree first.
-_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-          -1.60960333262415e-02)
-_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-          -7.37332916720468e-03, -1.42647390514189e-02)
-# Past |x| = 2.5 the float32 rounding of the rational (up to 4e-7 near +-1)
-# times gelu's factor x would exceed 1e-6, so scipy computes that tail.
-_ERF_TAIL = 2.5
+# float32 Phi(x) = 1/2 + x * P(x^2) / Q(x^2), Q monic, highest degree first:
+# Cody's rational erf form (Math. Comp. 23, 1969) with sqrt(2) and 1/2 folded
+# in, fitted on |x| <= 2.5 * sqrt(2) with weight max(1, |x|) (gelu's error is x
+# times Phi's); float32-exact. scipy computes Phi past x^2 = _PHI_TAIL.
+_PHI_P = (0.00022514946, 0.014277259, 3.7693324, 25.764309, 438.56885)
+_PHI_Q = (23.250486, 247.81319, 1099.3271)  # below the leading y^3
+_PHI_TAIL = 12.5
 
 
 # ---------------------------------------------------------------------------
 # activations
 
 
-def _horner(coeffs: tuple[float, ...], x2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Polynomial in ``x2`` (coefficients highest degree first), in ``out``."""
-    np.multiply(x2, coeffs[0], out=out)
-    for a in coeffs[1:-1]:
-        out += a
-        out *= x2
-    out += coeffs[-1]
-    return out
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """Error function: scipy in float64; in float32 Eigen's rational form,
-    evaluated in place on three buffers, with scipy for |x| > 2.5. The
-    rational is not clipped to [-4, 4]: past 2.5 scipy overwrites it, so the
-    overflow of a huge x's square is ignored."""
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Normal CDF as a new array: by scipy in float64; in float32 the rational
+    above on three buffers, run on every x (a huge x's square overflows, and
+    the tail overwrites it), with scipy's ``ndtr`` past the tail. x is never written."""
     if x.dtype != np.float32:
-        return special.erf(x)
+        return (special.erf(x * INV_SQRT2) + 1.0) * 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        x2 = x * x
-        p = _horner(_ERF_P, x2, np.empty_like(x))
-        p *= x
-        p /= _horner(_ERF_Q, x2, np.empty_like(x))
-    tail = np.flatnonzero(x2 > _ERF_TAIL * _ERF_TAIL)
-    p.flat[tail] = special.erf(x.flat[tail])
-    return p
+        y = x * x
+        phi = y * _PHI_P[0]
+        for a in _PHI_P[1:-1]:
+            phi += a
+            phi *= y
+        phi += _PHI_P[-1]
+        q = y + _PHI_Q[0]
+        for b in _PHI_Q[1:]:
+            q *= y
+            q += b
+        phi *= x
+        phi /= q
+        phi += 0.5
+    if not y.max(initial=0.0) <= _PHI_TAIL:  # true for a NaN too: then look element-wise
+        tail = np.flatnonzero(y > _PHI_TAIL)
+        phi.flat[tail] = special.ndtr(x.flat[tail])
+    return phi
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -98,14 +95,18 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    phi_cum = _erf(x.data * INV_SQRT2)
-    phi_cum += 1.0
-    phi_cum *= 0.5
-    out = Tensor(x.data * phi_cum)
+    phi = _phi(x.data)
+    out = Tensor(x.data * phi)
 
-    def bwd(g):
-        density = np.exp(-0.5 * np.square(x.data)) * INV_SQRT_2PI
-        return (g * (phi_cum + x.data * density),)
+    def bwd(g):  # g * (Phi + x * exp(-x^2 / 2) / sqrt(2 pi)) in one buffer
+        d = np.square(x.data)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= INV_SQRT_2PI
+        d *= x.data
+        d += phi
+        d *= g
+        return (d,)
 
     return record(out, (x,), bwd)
 
@@ -275,11 +276,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, lo: int = 0) -> Tensor:
     xs = x.data[..., lo:]
     if xs.shape[-1] != gamma.shape[0]:
         raise ShapeError(f"layer norm over {gamma.shape[0]} channels got {x.shape}[{lo}:]")
-    centered = xs - xs.mean(axis=-1, keepdims=True)
-    var = np.square(centered).mean(axis=-1, keepdims=True)
+    n = xs.shape[-1]
+    # sum / n is .mean's value bit for bit, without its Python overhead
+    centered = xs - xs.sum(axis=-1, keepdims=True) / n
+    var = np.square(centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
-    n_inv = 1.0 / xs.shape[-1]
+    n_inv = 1.0 / n
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))

@@ -6,8 +6,8 @@ package under test. The exceptions are the earlier forms of layers the
 package has since fused or trimmed (:func:`conv2d_down_reference`,
 :func:`attention_reference`, :func:`residual_reference`,
 :func:`glu_reference`, :func:`mcsgu_reference` with :func:`fold_taps` and
-:func:`branch_major`, :func:`erf_clipped`), kept to show the new form gives
-the same bits.
+:func:`branch_major`, :func:`layer_norm_by_mean`), kept to show the new form
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ import itertools
 import math
 
 import numpy as np
-from scipy import special
 
-from multiconv.autodiff import Tensor, add, mul, record, reshape, scale
+from multiconv.autodiff import Tape, Tensor, add, backward, mul, record, reshape, scale, tsum
 from multiconv.config import FusionKind
 from multiconv.conv_blocks import mix_rows
-from multiconv.layers import (_ERF_P, _ERF_Q, _ERF_TAIL, _expit, _horner, depthwise_conv, dropout,
-                              grouped_conv, observe, softmax)
+from multiconv.layers import _expit, depthwise_conv, dropout, grouped_conv, observe, softmax
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -53,6 +51,16 @@ def layer_norm_rows(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
+
+
+def layer_norm_by_mean(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       lo: int = 0) -> np.ndarray:
+    """``layers.layer_norm``'s earlier forward: channels [lo:] normalized
+    with means taken by ``.mean``, in the package's order of operations."""
+    xs = x[..., lo:]
+    centered = xs - xs.mean(axis=-1, keepdims=True)
+    var = np.square(centered).mean(axis=-1, keepdims=True)
+    return centered * (1.0 / np.sqrt(var + 1e-12)) * gamma + beta
 
 
 def csgu_loops(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -331,19 +339,6 @@ def mcsgu_reference(unit, a: Tensor) -> Tensor:
     return mul(z_l, fused)
 
 
-def erf_clipped(x: np.ndarray) -> np.ndarray:
-    """The package's earlier float32 ``_erf``: x clipped to [-4, 4] first,
-    Q evaluated in the clipped copy, scipy for |x| > 2.5."""
-    c = np.clip(x, -4.0, 4.0)
-    x2 = c * c
-    p = _horner(_ERF_P, x2, np.empty_like(c))
-    p *= c
-    p /= _horner(_ERF_Q, x2, c)
-    tail = np.flatnonzero(x2 > _ERF_TAIL * _ERF_TAIL)
-    p.flat[tail] = special.erf(x.flat[tail])
-    return p
-
-
 def fold_taps_loops(kernels: list[np.ndarray], width: int, stack: bool) -> np.ndarray:
     """``fold_taps``'s merged kernel by explicit loops: each kernel's taps
     centred in ``width`` zero taps, summed in branch order ([C, k_i] ->
@@ -449,6 +444,23 @@ def glu_reference(x: Tensor) -> Tensor:
     the two channel halves a and b copied out, then a * sigmoid(b)."""
     a, b = split_channels(x, x.shape[-1] // 2)
     return mul(a, _sigmoid(b))
+
+
+TAPE_MODES = ["no tape", "tape", "tape with generator"]
+
+
+def taped(call, inputs, proj, mode):
+    """Output, input gradients and the tape's node count of one call on
+    fresh leaves, untaped or taped (with or without a dropout generator)
+    and then run backward through a fixed projection."""
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    if mode == "no tape":
+        return call(*leaves).data, None, None
+    with Tape(np.random.default_rng(11) if mode == "tape with generator" else None) as tape:
+        out = call(*leaves)
+        nodes = len(tape)
+        backward(tsum(mul(out, Tensor(proj))))
+    return out.data, [t.grad for t in leaves], nodes
 
 
 def collapse_path(path: tuple[int, ...]) -> tuple[int, ...]:

@@ -88,6 +88,15 @@ def test_gen_data_rejects_a_negative_seed_and_creates_no_directory(tmp_path, cap
     assert not out.exists()
 
 
+def test_gen_data_rejects_fewer_mel_bins_than_a_model_reads(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    flags = DATA_FLAGS[:DATA_FLAGS.index("--n-mels") + 1] + ["6"] \
+        + DATA_FLAGS[DATA_FLAGS.index("--n-mels") + 2:]
+    assert main(["gen-data", "--out", str(out)] + flags) == 2
+    assert "n_mels must be at least 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(workspace, capsys):
     _, run = workspace
     for name in ("encoder.json", "train.json", "environment.json", "model.mckpt",

@@ -168,6 +168,7 @@ def test_encoder_validation(bad):
     dict(noise_std=-0.5),
     dict(noise_std=float("nan")),   # NaN passes every ordered comparison
     dict(noise_std=float("inf")),
+    dict(n_mels=6),                 # no model reads fewer than 7 mel bins
 ])
 def test_data_spec_validation(bad):
     with pytest.raises(ConfigError):

@@ -1,0 +1,235 @@
+"""Fused nodes against their references on drawn shapes.
+
+The two conv ops' kernel-list forms are checked bit for bit against the
+composite of fold, conv and reorder nodes they replaced
+(``oracles.depthwise_composite`` and ``oracles.grouped_composite``), and for
+closeness against the loop definitions of the fusions: the sum, or the
+concatenation, of the branch convolutions. ``gelu`` is checked against the
+float64 scipy formula, ``glu`` and ``residual`` bit for bit against the
+composites they replaced, ``layer_norm`` (a right part [lo:] read in place)
+against ``layer_norm_rows`` and its complex-step gradient, and ``mix_rows``
+against its loop references. The draws are derandomised, so every run
+checks the same cases.
+"""
+
+import numpy as np
+from scipy import special
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
+from multiconv.conv_blocks import mix_rows
+from multiconv.layers import (INV_SQRT2, INV_SQRT_2PI, depthwise_conv, gelu, glu, grouped_conv,
+                              layer_norm, residual)
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+TOL = {np.float32: 1e-5, np.float64: 1e-12}
+MIX_TOL = {np.float32: 1e-6, np.float64: 1e-12}
+
+
+@st.composite
+def kernel_lists(draw):
+    """(widths, T, dtype, x requires grad, seed): 1 to 4 odd, increasing
+    widths up to 15, and T of 1, below the widest or above it."""
+    p = draw(st.integers(1, 4))
+    halves = sorted(draw(st.sets(st.integers(0, 7), min_size=p, max_size=p)))
+    widths = tuple(2 * h + 1 for h in halves)
+    k_max = widths[-1]
+    length = draw(st.sampled_from(["long", "short", "one"]))
+    if length == "one":
+        t_len = 1
+    elif length == "short":
+        t_len = draw(st.integers(1, max(1, k_max - 1)))
+    else:
+        t_len = draw(st.integers(k_max + 1, k_max + 8))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return widths, t_len, dtype, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _run(op, x, weights, biases, g, x_grad):
+    """Output, x's gradient (None when x takes none), each kernel's and each
+    bias's gradient and the node count of ``op`` under sum(g * out)."""
+    xt = Tensor(x, requires_grad=x_grad)
+    ws = [Tensor(w, requires_grad=True) for w in weights]
+    bs = [Tensor(b, requires_grad=True) for b in biases]
+    with Tape() as tape:
+        out = op(xt, ws, bs)
+        nodes = len(tape)
+        backward(tsum(mul(out, Tensor(g))))
+    return [out.data, xt.grad, *(w.grad for w in ws), *(b.grad for b in bs)], nodes
+
+
+def _check(got, composite, loops, dtype):
+    arrays, nodes = got
+    assert nodes == 1
+    if composite is not None:
+        for ours, theirs in zip(arrays, composite[0]):
+            assert (ours is None) == (theirs is None)
+            assert ours is None or (ours.dtype == dtype and np.array_equal(ours, theirs))
+    for ours, want in zip(arrays, loops):
+        assert (ours is None) == (want is None)
+        if ours is not None:
+            assert ours.shape == want.shape
+            assert np.abs(ours - want).max() <= TOL[dtype] * max(1.0, np.abs(want).max())
+
+
+@SETTINGS
+@given(case=kernel_lists(), channels=st.integers(1, 5))
+def test_depthwise_kernel_list_is_the_sum_of_its_branch_convolutions(case, channels):
+    widths, t_len, dtype, x_grad, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(t_len, channels)).astype(dtype)
+    weights = [rng.normal(size=(channels, k)).astype(dtype) for k in widths]
+    biases = [rng.normal(size=channels).astype(dtype) for _ in widths]
+    g = rng.normal(size=(t_len, channels)).astype(dtype)
+    x64, g64 = x.astype(np.float64), g.astype(np.float64)
+    out = sum(oracles.depthwise_conv_loops(x64, w.astype(np.float64), b.astype(np.float64))
+              for w, b in zip(weights, biases))
+    # a depthwise conv is a grouped one with one lane in and out per group
+    grads = [oracles.grouped_conv_grads_loops(x64, w.astype(np.float64)[:, None, None], g64,
+                                              channels) for w in weights]
+    loops = [out, sum(dx for dx, _ in grads) if x_grad else None,
+             *(dw[:, 0, 0] for _, dw in grads), *(g64.sum(axis=0) for _ in biases)]
+    _check(_run(depthwise_conv, x, weights, biases, g, x_grad),
+           _run(oracles.depthwise_composite, x, weights, biases, g, x_grad), loops, dtype)
+
+
+@SETTINGS
+@given(case=kernel_lists(), groups=st.integers(1, 3), opg=st.integers(1, 2),
+       ipg=st.integers(1, 3))
+def test_grouped_kernel_list_is_the_concatenation_of_its_branch_convolutions(
+        case, groups, opg, ipg):
+    widths, t_len, dtype, x_grad, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(t_len, groups * ipg)).astype(dtype)
+    weights = [rng.normal(size=(groups, opg, ipg, k)).astype(dtype) for k in widths]
+    biases = [rng.normal(size=groups * opg).astype(dtype) for _ in widths]
+    g = rng.normal(size=(t_len, len(widths) * groups * opg)).astype(dtype)
+    x64 = x.astype(np.float64)
+    blocks = np.split(g.astype(np.float64), len(widths), axis=1)
+    out = np.concatenate([
+        oracles.grouped_conv_loops(x64, w.astype(np.float64), b.astype(np.float64), groups)
+        for w, b in zip(weights, biases)], axis=1)
+    grads = [oracles.grouped_conv_grads_loops(x64, w.astype(np.float64), gi, groups)
+             for w, gi in zip(weights, blocks)]
+    loops = [out, sum(dx for dx, _ in grads) if x_grad else None,
+             *(dw for _, dw in grads), *(gi.sum(axis=0) for gi in blocks)]
+    # the old reorder node put one output per group of each kernel in place
+    composite = (_run(oracles.grouped_composite, x, weights, biases, g, x_grad)
+                 if opg == 1 or len(widths) == 1 else None)
+    _check(_run(grouped_conv, x, weights, biases, g, x_grad), composite, loops, dtype)
+
+
+@st.composite
+def shapes(draw, dims=(1, 3), size=6):
+    """(shape, dtype, seed): 1 to 3 axes of 1 to ``size`` each."""
+    shape = tuple(draw(st.lists(st.integers(1, size), min_size=dims[0], max_size=dims[1])))
+    return shape, draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2 ** 32 - 1))
+
+
+# 3.54 is where Phi's float32 rational hands over to scipy; 1e20 squares
+# past float32's range
+@SETTINGS
+@given(case=shapes(size=8), scale=st.sampled_from([1e-3, 1.0, 2.5, 3.54, 6.0, 30.0, 1e20]))
+def test_gelu_is_the_float64_scipy_formula(case, scale):
+    shape, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    x = (scale * rng.normal(size=shape)).astype(dtype)
+    g = rng.uniform(-1.0, 1.0, size=shape).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    with Tape(), np.errstate(over="ignore"):  # the backward's x**2 may overflow
+        out = gelu(xt)
+        backward(tsum(mul(out, Tensor(g))))
+    x64, g64 = x.astype(np.float64), g.astype(np.float64)
+    phi = 0.5 * (1.0 + special.erf(x64 * INV_SQRT2))
+    dx = g64 * (phi + x64 * (np.exp(-0.5 * np.square(x64)) * INV_SQRT_2PI))
+    assert out.dtype == xt.grad.dtype == dtype
+    if dtype == np.float64:
+        assert np.array_equal(out.data, x64 * phi) and np.array_equal(xt.grad, dx)
+    else:
+        assert np.abs(out.data - x64 * phi).max() <= 1e-6
+        assert np.abs(xt.grad - dx).max() <= 1e-6
+
+
+@SETTINGS
+@given(case=shapes(dims=(1, 2)), half=st.integers(1, 4), mode=st.sampled_from(oracles.TAPE_MODES))
+def test_glu_is_its_composite_bit_for_bit(case, half, mode):
+    shape, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    x = (4.0 * rng.normal(size=(*shape, 2 * half))).astype(dtype)
+    proj = rng.normal(size=(*shape, half)).astype(dtype)
+    got = oracles.taped(glu, (x,), proj, mode)
+    want = oracles.taped(oracles.glu_reference, (x,), proj, mode)
+    assert got[0].dtype == dtype and np.array_equal(got[0], want[0])
+    if mode != "no tape":
+        assert np.array_equal(got[1][0], want[1][0])
+
+
+@SETTINGS
+@given(case=shapes(), c=st.sampled_from([0.5, 1.0, 8.0, 12.0 ** 0.5]),
+       p=st.sampled_from([0.0, 0.1]), mode=st.sampled_from(oracles.TAPE_MODES))
+def test_residual_is_its_composite_bit_for_bit(case, c, p, mode):
+    shape, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    x, h, proj = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+    got = oracles.taped(lambda a, b: residual(a, b, c, p), (x, h), proj, mode)
+    want = oracles.taped(lambda a, b: oracles.residual_reference(a, b, c, p), (x, h), proj, mode)
+    assert got[0].dtype == dtype and np.array_equal(got[0], want[0])
+    if mode != "no tape":
+        for ours, theirs in zip(got[1], want[1]):
+            assert np.array_equal(ours, theirs)
+
+
+@SETTINGS
+@given(case=shapes(dims=(1, 2), size=4), n=st.integers(1, 7), lo=st.integers(0, 3))
+def test_layer_norm_of_a_right_part_is_the_row_formula(case, n, lo):
+    shape, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    x = (3.0 * rng.normal(size=(*shape, lo + n)) + 1.0).astype(dtype)
+    gamma, beta = (rng.normal(size=n).astype(dtype) for _ in range(2))
+    g = rng.normal(size=(*shape, n)).astype(dtype)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    with Tape():
+        out = layer_norm(*leaves, lo=lo)
+        backward(tsum(mul(out, Tensor(g))))
+    x64, gamma64, beta64, g64 = (a.astype(np.float64) for a in (x, gamma, beta, g))
+
+    def loss(xv=x64, gv=gamma64, bv=beta64):
+        return (g64 * oracles.layer_norm_rows(xv[..., lo:], gv, bv)).sum()
+
+    wants = [oracles.layer_norm_rows(x64[..., lo:], gamma64, beta64),
+             oracles.complex_step_grad(lambda v: loss(xv=v), x64),
+             oracles.complex_step_grad(lambda v: loss(gv=v), gamma64),
+             oracles.complex_step_grad(lambda v: loss(bv=v), beta64)]
+    # dx is a difference of terms as large as |g * gamma| / std, which
+    # cancel to near 0 when a row's values are close: its rounding scales
+    # with those terms, not with dx
+    xs = x64[..., lo:]
+    terms = np.abs(g64 * gamma64).max() / np.sqrt(xs.var(axis=-1).min() + 1e-12)
+    for got, want, scale in zip([out.data, *(t.grad for t in leaves)], wants,
+                                [1.0, terms, 1.0, 1.0]):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= TOL[dtype] * max(scale, np.abs(want).max())
+    assert not leaves[0].grad[..., :lo].any()
+
+
+@SETTINGS
+@given(case=shapes(dims=(2, 2), size=7), p=st.integers(1, 4))
+def test_mix_rows_is_its_loop_reference(case, p):
+    (t_len, channels), dtype, seed = case
+    rng = np.random.default_rng(seed)
+    parts = [Tensor(rng.normal(size=(t_len, channels)).astype(dtype), requires_grad=True)
+             for _ in range(p)]
+    alpha = Tensor(oracles.softmax_rows(rng.normal(size=(t_len, p))).astype(dtype),
+                   requires_grad=True)
+    g = rng.normal(size=(t_len, channels)).astype(dtype)
+    with Tape():
+        out = mix_rows(parts, alpha)
+        backward(tsum(mul(out, Tensor(g))))
+    arrays = [v.data for v in parts]
+    d_parts, d_alpha = oracles.mix_rows_grads_loops(arrays, alpha.data, g)
+    pairs = [(out.data, oracles.mix_rows_loops(arrays, alpha.data)), (alpha.grad, d_alpha)]
+    pairs += [(v.grad, want) for v, want in zip(parts, d_parts)]
+    for got, want in pairs:
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= MIX_TOL[dtype] * max(1.0, np.abs(want).max())

@@ -33,7 +33,7 @@ from multiconv.layers import (
     softmax,
     swish,
 )
-from multiconv.layers import _erf, _expit
+from multiconv.layers import _expit, _phi, layer_norm
 
 RNG = np.random.default_rng(21)
 
@@ -69,9 +69,9 @@ def test_sigmoid_and_swish_values():
 
 
 def _float64_activations(x):
-    """The float64 scipy formulas of erf, expit, gelu and swish."""
+    """The float64 scipy formulas of Phi, expit, gelu and swish."""
     return {
-        "erf": special.erf(x),
+        "phi": 0.5 * (1.0 + special.erf(x * INV_SQRT2)),
         "expit": special.expit(x),
         "gelu": x * (0.5 * (1.0 + special.erf(x * INV_SQRT2))),
         "swish": x * special.expit(x),
@@ -80,7 +80,7 @@ def _float64_activations(x):
 
 def _activations(x):
     return {
-        "erf": _erf(x),
+        "phi": _phi(x),
         "expit": _expit(x),
         "gelu": gelu(Tensor(x)).data,
         "swish": swish(Tensor(x)).data,
@@ -100,7 +100,7 @@ def test_float32_activations_are_within_1e_6_of_float64_scipy():
         assert fast[name].dtype == np.float32, name
         assert np.abs(fast[name] - ref).max() <= 1e-6, name
         got = fast_special[name].astype(np.float64)
-        # +-0 and +-1 map exactly; inf maps to inf, and nan in gives nan out
+        # +-0 and +-inf map exactly (Phi to 1/2, 1 and 0), and nan in gives nan out
         assert np.array_equal(got, exact_special[name], equal_nan=True), name
 
 
@@ -112,12 +112,12 @@ def test_float64_activations_are_scipy_bit_for_bit():
         assert np.array_equal(got[name], ref), name
 
 
-def test_float32_erf_without_its_clip_is_the_clipped_form_bytes_for_bytes():
-    # the rational runs unclipped: where x**2 overflows (1e19 and up) its
-    # value is garbage, but scipy's tail overwrites everything past 2.5
+def test_float32_phi_at_its_edge_points():
+    # the rational runs on every x: where x**2 overflows (1e19 and up) its
+    # value is garbage, but scipy's tail overwrites everything past x**2 = 12.5
     points = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-40, -1e-40,
               1e19, -1e19, 1e30, -1e30, 3.4e38, -3.4e38]
-    edges = np.array([2.5, -2.5, 4.0, -4.0], dtype=np.float32)
+    edges = np.array([2.5 * math.sqrt(2.0), -2.5 * math.sqrt(2.0), 4.0, -4.0], dtype=np.float32)
     x = np.concatenate([
         np.array(points, dtype=np.float32),
         edges, np.nextafter(edges, np.float32(np.inf)), np.nextafter(edges, np.float32(-np.inf)),
@@ -125,10 +125,16 @@ def test_float32_erf_without_its_clip_is_the_clipped_form_bytes_for_bytes():
     ])
     before = x.copy()
     with np.errstate(all="raise", under="ignore"):
-        got = _erf(x)
+        got = _phi(x)
     assert got.dtype == np.float32
-    assert got.tobytes() == oracles.erf_clipped(x).tobytes()
     assert x.tobytes() == before.tobytes()  # the caller's array is not written
+    x64 = x.astype(np.float64)
+    want = 0.5 * (1.0 + special.erf(x64 * INV_SQRT2))
+    assert np.array_equal(got[:5], want[:5], equal_nan=True)  # +-0, +-inf, nan
+    assert np.abs(got[5:] - want[5:]).max() <= 1e-6
+    finite = np.isfinite(x)
+    gelu32 = (x[finite] * got[finite]).astype(np.float64)
+    assert np.abs(gelu32 - x64[finite] * want[finite]).max() <= 1e-6
 
 
 def test_softmax_rows_sum_to_one_and_match_reference():
@@ -153,26 +159,9 @@ def test_glu_gates_first_half_by_sigmoid_of_second():
         glu(Tensor(np.ones((2, 5))))
 
 
-MODES = ["no tape", "tape", "tape with generator"]
-
-
-def _taped(call, inputs, proj, mode):
-    """Output, input gradients and the tape's node count of one call on
-    fresh leaves, untaped or taped (with or without a dropout generator)
-    and then run backward through a fixed projection."""
-    leaves = [Tensor(a, requires_grad=True) for a in inputs]
-    if mode == "no tape":
-        return call(*leaves).data, None, None
-    with Tape(np.random.default_rng(11) if mode == "tape with generator" else None) as tape:
-        out = call(*leaves)
-        nodes = len(tape)
-        backward(tsum(mul(out, Tensor(proj))))
-    return out.data, [t.grad for t in leaves], nodes
-
-
 # c: the encoder's weights 0.5 and 1, and sqrt(dim) at dim 64 and at dim 12;
 # only sqrt(12) is no power of two, so only it shows the order of the products
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", oracles.TAPE_MODES)
 @pytest.mark.parametrize("p", [0.0, 0.1])
 @pytest.mark.parametrize("c", [0.5, 1.0, 8.0, math.sqrt(12.0)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -180,8 +169,8 @@ def test_residual_matches_the_composite_reference_bit_for_bit(dtype, c, p, mode)
     rng = np.random.default_rng(5)
     x0, h0, proj = (rng.normal(size=(7, 6)).astype(dtype) for _ in range(3))
     kept = x0.copy()
-    out, grads, nodes = _taped(lambda x, h: residual(x, h, c, p), (x0, h0), proj, mode)
-    ref_out, ref_grads, ref_nodes = _taped(
+    out, grads, nodes = oracles.taped(lambda x, h: residual(x, h, c, p), (x0, h0), proj, mode)
+    ref_out, ref_grads, ref_nodes = oracles.taped(
         lambda x, h: oracles.residual_reference(x, h, c, p), (x0, h0), proj, mode)
     assert np.array_equal(x0, kept)  # x's array is read, never written
     assert out.dtype == dtype and np.array_equal(out, ref_out)
@@ -197,18 +186,18 @@ def test_residual_matches_the_composite_reference_bit_for_bit(dtype, c, p, mode)
     for g, ref in zip(grads, ref_grads):
         assert g.dtype == dtype and np.array_equal(g, ref)
     if drops:
-        assert not np.array_equal(out, _taped(
+        assert not np.array_equal(out, oracles.taped(
             lambda x, h: residual(x, h, c, p), (x0, h0), proj, "tape")[0])
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", oracles.TAPE_MODES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_glu_matches_the_composite_reference_bit_for_bit(dtype, mode):
     rng = np.random.default_rng(6)
     x0 = (4.0 * rng.normal(size=(7, 8))).astype(dtype)
     proj = rng.normal(size=(7, 4)).astype(dtype)
-    out, grads, nodes = _taped(glu, (x0,), proj, mode)
-    ref_out, ref_grads, ref_nodes = _taped(oracles.glu_reference, (x0,), proj, mode)
+    out, grads, nodes = oracles.taped(glu, (x0,), proj, mode)
+    ref_out, ref_grads, ref_nodes = oracles.taped(oracles.glu_reference, (x0,), proj, mode)
     assert out.dtype == dtype and np.array_equal(out, ref_out)
     if mode == "no tape":
         assert grads is None
@@ -332,6 +321,22 @@ def test_layer_norm_normalizes_then_scales():
     assert np.allclose(y2, 3.0 * y - 1.0, atol=1e-12)
     with pytest.raises(ShapeError):
         norm(Tensor(np.ones((2, 5))))
+
+
+@pytest.mark.parametrize("lead", [(20,), (2, 5)])
+@pytest.mark.parametrize("lo", [0, 3])
+@pytest.mark.parametrize("n", [7, 64, 96, 192, 384])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_means_are_mean_bit_for_bit(dtype, n, lo, lead):
+    # layer_norm takes its means as sum / n, without .mean's Python overhead
+    rng = np.random.default_rng(n + lo)
+    x = (4.0 * rng.normal(size=(*lead, lo + n)) + 2.0).astype(dtype)
+    gamma, beta = (rng.normal(size=n).astype(dtype) for _ in range(2))
+    ones, zeros = np.ones(n, dtype=dtype), np.zeros(n, dtype=dtype)
+    for g, b in ((gamma, beta), (ones, zeros)):  # the second gives xhat itself
+        got = layer_norm(Tensor(x), Tensor(g), Tensor(b), lo=lo).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, oracles.layer_norm_by_mean(x, g, b, lo))
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 7])
