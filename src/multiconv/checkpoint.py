@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count
+from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count, replacing
 
 MAGIC = b"MCFK"
 VERSION = 1
@@ -54,22 +53,13 @@ def save_arrays(path, named: list[tuple[str, np.ndarray]]) -> None:
         chunks.append(data)
         offset += len(data)
     manifest = json.dumps(entries).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(VERSION.to_bytes(4, "little"))
-            fh.write(len(manifest).to_bytes(4, "little"))
-            fh.write(manifest)
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path, fsync=True) as fh:
+        fh.write(MAGIC)
+        fh.write(VERSION.to_bytes(4, "little"))
+        fh.write(len(manifest).to_bytes(4, "little"))
+        fh.write(manifest)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _read_manifest(path, raw: bytes, payload_size: int):

@@ -21,7 +21,7 @@ from enum import Enum
 from numbers import Integral
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, replacing
 
 
 class FusionKind(str, Enum):
@@ -128,7 +128,8 @@ class _JsonMixin:
         return out
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        with replacing(path) as fh:
+            fh.write((json.dumps(self.to_dict(), indent=2) + "\n").encode())
 
     @classmethod
     def load(cls, path):

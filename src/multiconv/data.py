@@ -17,18 +17,29 @@ The generating :class:`~multiconv.config.DataSpec` is stored alongside as
 ``data_spec.json``. Generation is deterministic in ``spec.seed``; the
 templates and each split use independently spawned streams so changing one
 split size never perturbs another split.
+
+Every corpus file is written at a temporary name beside its target and
+renamed over it, so regenerating a directory never truncates a file that a
+loaded split still maps. There is no fsync: a corpus is rebuilt from its
+spec. A loaded split maps its frame file read-only instead of reading it:
+its utterances' features are views into the mapping, and only the frames a
+run touches are read from disk. The file's byte size must be exactly
+``total_frames * n_mels * 4``; any other size raises
+:class:`~multiconv.errors.IntegrityError`.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import DataSpec
-from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count
+from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count, replacing
 
 SPLITS = ("train", "dev", "test")
 
@@ -56,7 +67,7 @@ def _write_split(out: Path, split: str, spec: DataSpec, count: int,
     rng = np.random.default_rng(ss)
     entries, lines = [], []
     offset = 0
-    with open(out / f"{split}.f32", "wb") as frames:
+    with replacing(out / f"{split}.f32") as frames:
         for i in range(count):
             n_tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
             tokens = rng.integers(1, spec.vocab + 1, size=n_tokens)
@@ -69,8 +80,10 @@ def _write_split(out: Path, split: str, spec: DataSpec, count: int,
             lines.append(" ".join([uid, *map(str, ids)]))
             offset += len(noisy)
     manifest = {"n_mels": spec.n_mels, "total_frames": offset, "utterances": entries}
-    (out / f"{split}.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out / f"{split}.txt").write_text("\n".join(lines) + "\n")
+    with replacing(out / f"{split}.json") as fh:
+        fh.write((json.dumps(manifest, indent=2) + "\n").encode())
+    with replacing(out / f"{split}.txt") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def generate_dataset(spec: DataSpec, out_dir, force: bool = False) -> None:
@@ -132,19 +145,30 @@ def _read_transcripts(path: Path) -> dict[str, list[int]]:
             f"{path.name} is not a valid transcript file ({type(exc).__name__}: {exc})") from None
 
 
+def _map_frames(path: Path, total_frames: int, n_mels: int) -> np.ndarray:
+    """The frame file as a read-only float32 [total_frames, n_mels] view of
+    its memory map. A file of any other byte size raises
+    :class:`IntegrityError`. The size is taken from the open file, so the
+    check and the map see the same file."""
+    expected = total_frames * n_mels * 4
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise IntegrityError(
+                f"{path.name} holds {size} bytes, manifest expects {expected}")
+        # mmap cannot map an empty file; zero frames need no bytes
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    return np.frombuffer(buf, dtype="<f4").reshape(total_frames, n_mels)
+
+
 def load_split(data_dir, split: str) -> list[Utterance]:
-    """Read one split back, cross-checking sizes and the text transcripts."""
+    """Read one split back, cross-checking sizes and the text transcripts.
+    The utterances' features are read-only views of the mapped frame file."""
     if split not in SPLITS:
         raise ContractError(f"split must be one of {SPLITS}, got {split!r}")
     root = Path(data_dir)
     n_mels, total_frames, entries = _read_manifest(root / f"{split}.json")
-    raw = (root / f"{split}.f32").read_bytes()
-    frames = np.frombuffer(raw, dtype="<f4")
-    expected = total_frames * n_mels
-    if frames.size != expected:
-        raise IntegrityError(
-            f"{split}.f32 holds {frames.size} values, manifest expects {expected}")
-    frames = frames.reshape(total_frames, n_mels)
+    frames = _map_frames(root / f"{split}.f32", total_frames, n_mels)
     text_tokens = _read_transcripts(root / f"{split}.txt")
     utts = []
     for uid, lo, n_frames, tokens in entries:

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the checks of the JSON
-manifests that the split and checkpoint readers share."""
+"""Exception types shared across the package, the checks of the JSON
+manifests that the split and checkpoint readers share, and the atomic
+replace that every file writer uses."""
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class ShapeError(ValueError):
@@ -33,3 +38,25 @@ def manifest_count(value) -> int:
     if type(value) is not int or value < 0:
         raise TypeError(f"expected a non-negative integer, got {value!r}")
     return value
+
+
+@contextmanager
+def replacing(path, fsync: bool = False):
+    """A binary file opened at a temporary name beside ``path`` and renamed
+    over it when the block ends. If the block raises, the temporary goes and
+    ``path`` is left as it was; a reader that has the old file open or mapped
+    keeps reading the old bytes, because the rename gives ``path`` a new inode
+    instead of truncating the old one. ``fsync`` flushes the bytes to disk
+    before the rename."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

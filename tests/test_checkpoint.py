@@ -188,7 +188,7 @@ def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failu
         raise failure
 
     # the new bytes are written, then the write fails before the rename
-    monkeypatch.setattr("multiconv.checkpoint.os.fsync", fail)
+    monkeypatch.setattr("multiconv.errors.os.fsync", fail)
     with pytest.raises(type(failure)):
         save_model(path, model)
     assert path.read_bytes() == before

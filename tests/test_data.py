@@ -2,14 +2,21 @@
 
 import hashlib
 import json
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multiconv
 from multiconv.config import DataSpec
 from multiconv.data import generate_dataset, load_spec, load_split, token_templates
-from multiconv.errors import ConfigError, ContractError, IntegrityError
+from multiconv.errors import ConfigError, ContractError, IntegrityError, replacing
 
 
 def small_spec(**overrides):
@@ -146,12 +153,97 @@ def test_refuses_nonempty_output_dir(tmp_path):
     assert load_spec(tmp_path) == small_spec(seed=1)
 
 
-def test_truncated_frame_file_detected(corpus):
+@pytest.mark.parametrize("resize", [lambda raw: raw[:-1], lambda raw: raw[:-3],
+                                    lambda raw: raw[:-8], lambda raw: b"",
+                                    lambda raw: raw + bytes(4)],
+                         ids=["cut-1", "cut-3", "cut-8", "empty", "extra-4"])
+def test_truncated_frame_file_detected(corpus, resize):
+    # a length that is not a multiple of 4 is caught too, and an empty file
+    # never reaches mmap, which cannot map 0 bytes
     _, root = corpus
     raw = (root / "train.f32").read_bytes()
-    (root / "train.f32").write_bytes(raw[:-8])
+    (root / "train.f32").write_bytes(resize(raw))
     with pytest.raises(IntegrityError, match="train.f32"):
         load_split(root, "train")
+
+
+def test_zero_frames_load_an_empty_split(tmp_path):
+    manifest = {"n_mels": 7, "total_frames": 0,
+                "utterances": [{"id": "dev-000000", "offset": 0, "frames": 0, "tokens": []}]}
+    (tmp_path / "dev.json").write_text(json.dumps(manifest))
+    (tmp_path / "dev.txt").write_text("dev-000000\n")
+    (tmp_path / "dev.f32").write_bytes(b"")
+    [utt] = load_split(tmp_path, "dev")
+    assert utt.feats.shape == (0, 7) and utt.feats.dtype == np.float32
+    assert not utt.feats.flags.writeable
+
+
+def _owner(arr):
+    """The object that holds an array's bytes, past its views' bases and
+    the buffer numpy takes them through."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_a_loaded_split_maps_its_frames_read_only(corpus):
+    spec, root = corpus
+    train = load_split(root, "train")
+    raw = np.fromfile(root / "train.f32", dtype="<f4").reshape(-1, spec.n_mels)
+    assert np.array_equal(np.concatenate([u.feats for u in train]), raw)
+    for utt in train:
+        # a view of the mapping: no frame bytes are copied into the process
+        assert isinstance(_owner(utt.feats), mmap.mmap)
+        assert utt.feats.dtype == np.float32 and not utt.feats.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            utt.feats[0, 0] = 0.0
+
+
+_REGENERATE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from multiconv.config import DataSpec
+    from multiconv.data import generate_dataset, load_split
+
+    root = sys.argv[1]
+    generate_dataset(DataSpec(n_train=60, n_dev=4, n_test=4, seed=5), root)
+    old = load_split(root, "train")
+    copies = [np.array(u.feats) for u in old]
+    new_spec = DataSpec(n_train=6, n_dev=4, n_test=4, seed=6)
+    generate_dataset(new_spec, root, force=True)
+    # the last old utterances lie past the end of the new, smaller frame file:
+    # had it been truncated in place, reading them would raise SIGBUS
+    assert all(np.array_equal(u.feats, c) for u, c in zip(old, copies))
+    new = load_split(root, "train")
+    assert len(new) == 6
+    assert not np.array_equal(new[0].feats, copies[0])
+    fresh = root + "-fresh"
+    generate_dataset(new_spec, fresh)
+    assert all(np.array_equal(a.feats, b.feats) for a, b in zip(new, load_split(fresh, "train")))
+    print("ok")
+""")
+
+
+def test_a_loaded_split_survives_a_forced_regeneration(tmp_path):
+    # a separate process, so that a SIGBUS fails this test instead of pytest
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(multiconv.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _REGENERATE, str(tmp_path / "corpus")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout == "ok\n"
+
+
+def test_a_failed_replace_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "train.f32"
+    path.write_bytes(b"old")
+    with pytest.raises(OSError, match="disk full"):
+        with replacing(path) as fh:
+            fh.write(b"new bytes")
+            raise OSError("disk full")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.f32"]
 
 
 def test_manifest_overrun_detected(corpus):
