@@ -26,14 +26,14 @@ With a single kernel and ``sum`` fusion the unit is the plain
 convolutional spatial gating unit; the ``csgu`` baseline block,
 :class:`CsguBlock`, is exactly that.
 
-Parameters are held per branch, but the branches run folded inside one
-conv node, which is handed the branches' kernel and bias lists:
-``sum`` is :func:`~multiconv.layers.depthwise_conv` over the centred,
-summed kernels plus the summed biases, and ``concat``/``depth`` is
+Parameters are held per branch, but every fusion is one conv node that is
+handed the branches' kernel and bias lists: ``sum`` is
+:func:`~multiconv.layers.depthwise_conv` over the centred, summed kernels
+plus the summed biases, ``weighted`` the same op mixing each kernel's own
+output by the gate's softmax (``mix``), and ``concat``/``depth``
 :func:`~multiconv.layers.grouped_conv` over the centred kernels stacked,
-its output written in branch order with each branch's bias added.
-``weighted`` runs its P branch convolutions and mixes them in one step.
-Each op crops the folded kernel's gradient back to each branch.
+its output written in branch order with each branch's bias added. Each op
+hands every branch its own gradients, so the node count does not grow with P.
 """
 
 from __future__ import annotations
@@ -83,22 +83,6 @@ def fusion_param_count(fusion: FusionKind, d_inter: int, kernels: Sequence[int])
     if fusion is FusionKind.DEPTH:
         return grouped + (half * max(kernels) + half)
     raise ConfigError(f"unhandled fusion {fusion}")
-
-
-def mix_rows(parts: Sequence[Tensor], alpha: Tensor) -> Tensor:
-    """Per-frame mixture sum_i alpha[t, i] * parts[i][t, :] of P [T, C]
-    tensors by alpha[T, P], as one tape node."""
-    a = alpha.data
-    acc = parts[0].data * a[:, 0:1]
-    for i, v in enumerate(parts[1:], start=1):
-        acc += v.data * a[:, i:i + 1]
-
-    def bwd(g):
-        grads = [g * a[:, i:i + 1] for i in range(len(parts))]
-        d_alpha = np.stack([(g * v.data).sum(axis=1) for v in parts], axis=1)
-        return (*grads, d_alpha)
-
-    return record(Tensor(acc), (*parts, alpha), bwd)
 
 
 def gate(a: Tensor, v: Tensor) -> Tensor:
@@ -168,7 +152,7 @@ class Mcsgu(Module):
         elif self.fusion is FusionKind.WEIGHTED:
             alpha = softmax(self.gate(z))
             observe(self, alpha.data)
-            fused = mix_rows([conv(z) for conv in self.branches], alpha)
+            fused = depthwise_conv(z, weights, biases, mix=alpha)
         else:
             fused = grouped_conv(z, weights, biases)
             if self.final_conv is not None:

@@ -130,15 +130,15 @@ def _read_manifest(path: Path):
             f"{path.name} is not a valid split manifest ({type(exc).__name__}: {exc})") from None
 
 
-def _read_transcripts(path: Path) -> dict[str, list[int]]:
-    """``{id: tokens}`` from a split's text file of ``<id> <tok> ...`` lines.
-    Text that is not UTF-8, a blank line, or a token that is not an integer
-    raises :class:`IntegrityError`."""
+def _read_transcripts(path: Path) -> list[tuple[str, list[int]]]:
+    """``[(id, tokens), ...]``, in file order, from a split's text file of
+    ``<id> <tok> ...`` lines. Text that is not UTF-8, a blank line, or a
+    token that is not an integer raises :class:`IntegrityError`."""
     try:
-        transcripts = {}
+        transcripts = []
         for line in path.read_text().splitlines():
             uid, *tokens = line.split()
-            transcripts[uid] = [int(t) for t in tokens]
+            transcripts.append((uid, [int(t) for t in tokens]))
         return transcripts
     except ValueError as exc:  # decoding and unpacking errors are ValueErrors too
         raise IntegrityError(
@@ -162,21 +162,20 @@ def _map_frames(path: Path, total_frames: int, n_mels: int) -> np.ndarray:
 
 
 def load_split(data_dir, split: str) -> list[Utterance]:
-    """Read one split back, cross-checking sizes and the text transcripts.
-    The utterances' features are read-only views of the mapped frame file."""
+    """Read one split back, cross-checking sizes and the text transcripts,
+    whose lines must be the manifest's ids and tokens, entry by entry. The
+    utterances' features are read-only views of the mapped frame file."""
     if split not in SPLITS:
         raise ContractError(f"split must be one of {SPLITS}, got {split!r}")
     root = Path(data_dir)
     n_mels, total_frames, entries = _read_manifest(root / f"{split}.json")
     frames = _map_frames(root / f"{split}.f32", total_frames, n_mels)
-    text_tokens = _read_transcripts(root / f"{split}.txt")
+    if _read_transcripts(root / f"{split}.txt") != [(e[0], e[3]) for e in entries]:
+        raise IntegrityError(f"transcript mismatch between {split}.json and {split}.txt")
     utts = []
     for uid, lo, n_frames, tokens in entries:
         hi = lo + n_frames
         if hi > total_frames:
             raise IntegrityError(f"{split}.json entry {uid} overruns the frame file")
-        if text_tokens.get(uid) != tokens:
-            raise IntegrityError(
-                f"transcript mismatch for {uid} between {split}.json and {split}.txt")
         utts.append(Utterance(uid=uid, feats=frames[lo:hi], tokens=tokens))
     return utts

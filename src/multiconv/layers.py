@@ -337,45 +337,66 @@ def _fold(op: str, weights: Sequence[Tensor], biases: Sequence[Tensor], lead: tu
     return stacked, taps
 
 
-def depthwise_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+def depthwise_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
+                   mix: Tensor | None = None) -> Tensor:
     """Per-channel convolution over time of x[T, C] with the kernels
-    weights[i][C, k_i] summed, each centred in the widest, plus the biases
-    b_i[C] summed in list order, same-length zero padding (k_i odd). One
-    kernel k is the plain convolution
-    out[t, c] = sum_j x[t + j - k//2, c] * w[c, j] + b[c];
-    more kernels are the ``sum`` fusion of their convolutions, folded.
+    weights[i][C, k_i] (k_i odd), each centred in the widest, and biases b_i[C],
+    same-length zero padding. One kernel k is the plain convolution
+    out_i[t, c] = sum_j x[t + j - k//2, c] * w_i[c, j] + b_i[c]. More kernels
+    are the ``sum`` fusion, folded into one summed kernel plus the biases
+    summed in list order, or, given ``mix`` alpha[T, P], the ``weighted``
+    fusion out[t] = sum_i alpha[t, i] * out_i[t], each kernel on its own taps.
 
-    Runs as one shifted multiply-add per tap, forward and backward, in one
-    node; each kernel's gradient is cropped from the summed kernel's and
-    each bias gets its own copy of db.
+    One node runs one shifted multiply-add per tap from one padded input,
+    forward and backward. A folded kernel's gradient is cropped back to each
+    kernel, and each bias gets its own copy of db. Mixed kernel i takes
+    g * alpha[:, i], and x's gradient sums the kernels' from last to first.
     """
     if x.ndim != 2:
         raise ShapeError(f"depthwise_conv: x must be [T, C], got {x.shape}")
     t, c = x.shape
     stacked, spots = _fold("depthwise_conv", weights, biases, (c,), x.shape)
-    w = sum(stacked[1:], stacked[0])
-    k = w.shape[1]
-    half = k // 2
-    taps = np.ascontiguousarray(w.T)  # [k, C]: each tap one contiguous row
-    xpad = np.zeros((t + k - 1, c), dtype=x.data.dtype)
-    xpad[half:half + t] = x.data
-    acc = np.zeros((t, c), dtype=x.data.dtype)
-    for j in range(k):
-        acc += xpad[j:j + t] * taps[j]
-    acc += sum((b.data for b in biases[1:]), biases[0].data)
+    if mix is None:  # one row: the summed kernel and biases
+        rows = [(sum(stacked[1:], stacked[0]), sum((b.data for b in biases[1:]), biases[0].data))]
+    elif mix.shape != (t, len(weights)):
+        raise ShapeError(f"depthwise_conv: mix {mix.shape} is not [{t}, {len(weights)}]")
+    else:  # one row per kernel, mixed after
+        rows = [(w.data, b.data) for w, b in zip(weights, biases)]
+    width = stacked.shape[-1]
+    xpad = np.zeros((t + width - 1, c), dtype=x.data.dtype)
+    xpad[width // 2:width // 2 + t] = x.data
+    taps = [np.ascontiguousarray(w.T) for w, _ in rows]  # [k, C]: each tap one contiguous row
+    los = [(width - len(tap)) // 2 for tap in taps]  # each row's first tap in the shared pad
+    outs = [np.zeros((t, c), dtype=x.data.dtype) for _ in rows]
+    for acc, tap, lo, (_, b) in zip(outs, taps, los, rows):
+        for j in range(len(tap)):
+            acc += xpad[lo + j:lo + j + t] * tap[j]
+        acc += b
+    out = outs[0] if mix is None else outs[0] * mix.data[:, 0:1]
+    for i in range(1, len(outs)):
+        out += outs[i] * mix.data[:, i:i + 1]
 
     def bwd(g):
-        dw = np.empty_like(w)
-        for j in range(k):
-            dw[:, j] = np.einsum("tc,tc->c", xpad[j:j + t], g)
-        gpad = np.zeros_like(xpad)
-        for j in range(k):
-            gpad[j:j + t] += g * taps[j]
-        db = g.sum(axis=0)
-        return (gpad[half:half + t], *(dw[:, s].copy() for s in spots),
-                db, *(db.copy() for _ in biases[1:]))
+        dws, dbs, dx = [np.empty_like(w) for w, _ in rows], [None] * len(rows), None
+        for i in reversed(range(len(rows))):  # sums x's gradient as a tape sums P nodes'
+            gi = g if mix is None else g * mix.data[:, i:i + 1]
+            k = len(taps[i])
+            for j in range(k):
+                dws[i][:, j] = np.einsum("tc,tc->c", xpad[los[i] + j:los[i] + j + t], gi)
+            gpad = np.zeros((t + k - 1, c), dtype=xpad.dtype)
+            for j in range(k):
+                gpad[j:j + t] += gi * taps[i][j]
+            dbs[i] = gi.sum(axis=0)
+            if dx is None:
+                dx = gpad[k // 2:k // 2 + t]
+            else:
+                dx += gpad[k // 2:k // 2 + t]
+        if mix is None:
+            return (dx, *(dws[0][:, s].copy() for s in spots),
+                    dbs[0], *(dbs[0].copy() for _ in biases[1:]))
+        return (dx, *dws, *dbs, np.stack([(g * v).sum(axis=1) for v in outs], axis=1))
 
-    return record(Tensor(acc), (x, *weights, *biases), bwd)
+    return record(Tensor(out), (x, *weights, *biases, *(() if mix is None else (mix,))), bwd)
 
 
 def _im2col(x: np.ndarray, k: int, groups: int) -> np.ndarray:
@@ -522,12 +543,17 @@ class Conv2dDown(Module):
         out = Tensor(y.reshape(t_out, f_out, o))
 
         def bwd(g):
+            # BLAS rounds each entry of a matrix-vector product by its place,
+            # so one output channel or frame keeps the stored [C, k, k] order
             g2 = g.reshape(t_out * f_out, o)
-            dw = (patches.T @ g2).reshape(k, k, c, o).transpose(2, 0, 1, 3).reshape(-1, o)
+            dw = ((patches.T @ g2).reshape(k, k, c, o).transpose(2, 0, 1, 3).reshape(-1, o)
+                  if o > 1 else
+                  patches.reshape(-1, k, k, c).transpose(0, 3, 1, 2).reshape(len(g2), -1).T @ g2)
             db = g2.sum(axis=0)
             if not x.requires_grad:
                 return None, dw, db
-            gp = (g2 @ w_rows.T).reshape(t_out, f_out, k, k, c)
+            gp = ((g2 @ w_rows.T).reshape(t_out, f_out, k, k, c) if len(g2) > 1
+                  else (g2 @ w.data.T).reshape(1, 1, c, k, k).transpose(0, 1, 3, 4, 2))
             dx = np.zeros_like(x.data)
             for di in range(k):
                 for dj in range(k):

@@ -5,9 +5,9 @@ enumeration, recursion) precisely so it shares no code or structure with the
 package under test. The exceptions are the earlier forms of layers the
 package has since fused or trimmed (:func:`conv2d_down_reference`,
 :func:`attention_reference`, :func:`residual_reference`,
-:func:`glu_reference`, :func:`mcsgu_reference` with :func:`fold_taps` and
-:func:`branch_major`, :func:`layer_norm_by_mean`), kept to show the new form
-gives the same bits.
+:func:`glu_reference`, :func:`mcsgu_reference` with :func:`fold_taps`,
+:func:`branch_major` and :func:`mix_rows`, :func:`layer_norm_by_mean`), kept
+to show the new form gives the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from multiconv.autodiff import Tape, Tensor, add, backward, mul, record, reshape, scale, tsum
 from multiconv.config import FusionKind
-from multiconv.conv_blocks import mix_rows
 from multiconv.layers import _expit, depthwise_conv, dropout, grouped_conv, observe, softmax
 
 
@@ -297,6 +296,22 @@ def branch_major(y: Tensor, biases: list[Tensor]) -> Tensor:
     return record(Tensor(out), (y, *biases), bwd)
 
 
+def mix_rows(parts: list[Tensor], alpha: Tensor) -> Tensor:
+    """The package's earlier ``weighted`` mixing node: the per-frame mixture
+    sum_i alpha[t, i] * parts[i][t, :] of P [T, C] tensors by alpha[T, P]."""
+    a = alpha.data
+    acc = parts[0].data * a[:, 0:1]
+    for i, v in enumerate(parts[1:], start=1):
+        acc += v.data * a[:, i:i + 1]
+
+    def bwd(g):
+        grads = [g * a[:, i:i + 1] for i in range(len(parts))]
+        d_alpha = np.stack([(g * v.data).sum(axis=1) for v in parts], axis=1)
+        return (*grads, d_alpha)
+
+    return record(Tensor(acc), (*parts, alpha), bwd)
+
+
 def depthwise_composite(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
     """The ``sum`` fold as the package wrote it, three nodes: a
     :func:`fold_taps` node, an ``add`` node for the biases and a
@@ -320,8 +335,9 @@ def mcsgu_reference(unit, a: Tensor) -> Tensor:
     """``Mcsgu.__call__`` as the package computed it from generic tape ops:
     the halves copied out by :func:`split_channels`, the right one normed by
     ``unit.norm``, the ``sum`` and ``concat`` folds as
-    :func:`depthwise_composite` and :func:`grouped_composite`, and the gate
-    a ``mul`` node. The weighted mixture is observed as before."""
+    :func:`depthwise_composite` and :func:`grouped_composite`, ``weighted``
+    as one conv node per branch and a :func:`mix_rows` node, and the gate a
+    ``mul`` node. The weighted mixture is observed as before."""
     z_l, z_r = split_channels(a, unit.half)
     z_r = unit.norm(z_r)
     weights = [conv.weight for conv in unit.branches]

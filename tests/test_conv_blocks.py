@@ -23,7 +23,6 @@ from multiconv.conv_blocks import (
     Mcsgu,
     MultiConvBlock,
     fusion_param_count,
-    mix_rows,
 )
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import observing, softmax
@@ -322,18 +321,16 @@ def test_folded_unit_matches_unfused_formula(fusion, kernels, length):
 
 @pytest.mark.parametrize("fusion", list(FusionKind))
 def test_folded_unit_node_count_does_not_grow_with_branches(fusion):
-    # sum/concat/depth fold the P branch convs into one; weighted mixes them
-    # in one node; either way the node count does not grow with P
+    # sum/concat/depth fold the P branch convs into one conv node, and
+    # weighted runs them and mixes their outputs inside one; the node count
+    # does not grow with P
     counts = []
     for kernels in ((3,), (3, 5, 7, 9)):
         unit = _unit(fusion, d_inter=24, kernels=kernels)
         with Tape() as tape:
             unit(Tensor(RNG.normal(size=(6, 24)), requires_grad=True))
         counts.append(len(tape))
-    if fusion is FusionKind.WEIGHTED:
-        assert counts[1] - counts[0] == 3  # one biased conv per extra branch
-    else:
-        assert counts[1] == counts[0]
+    assert counts[1] == counts[0]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -363,8 +360,10 @@ def test_unit_matches_the_composite_reference_bit_for_bit(dtype, fusion, kernels
     for ours, theirs in zip(got_seen, want_seen):
         assert np.array_equal(ours, theirs)
     # two copies and the gate's mul become one gate node; sum also loses its
-    # add and fold_taps nodes, concat/depth their fold_taps and branch_major
-    assert got_nodes == want_nodes - (2 if fusion is FusionKind.WEIGHTED else 4)
+    # add and fold_taps nodes, concat/depth their fold_taps and branch_major,
+    # and weighted's P branch convs and mix_rows node become one conv node
+    saved = 2 + len(kernels) if fusion is FusionKind.WEIGHTED else 4
+    assert got_nodes == want_nodes - saved
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -418,7 +417,7 @@ def test_mix_rows_matches_its_loop_reference(dtype, tol, p, t_len):
                    requires_grad=True)
     g = rng.normal(size=(t_len, 6)).astype(dtype)
     with Tape():
-        out = mix_rows(parts, alpha)
+        out = oracles.mix_rows(parts, alpha)
         backward(tsum(mul(out, Tensor(g))))
     arrays = [v.data for v in parts]
     d_parts, d_alpha = oracles.mix_rows_grads_loops(arrays, alpha.data, g)

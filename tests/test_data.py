@@ -317,6 +317,32 @@ def test_transcript_mismatch_detected(corpus):
         load_split(root, "dev")
 
 
+def _extra_line(root):
+    with open(root / "dev.txt", "a") as fh:
+        fh.write("dev-999999 1 2 3\n")
+
+
+def _duplicated_line(root):
+    lines = (root / "dev.txt").read_text().splitlines()
+    (root / "dev.txt").write_text("\n".join([lines[0], *lines]) + "\n")
+
+
+def _repeated_manifest_id(root):
+    # entry 1 becomes a copy of entry 0's id and tokens, over entry 1's frames
+    manifest = json.loads((root / "dev.json").read_text())
+    first, second = manifest["utterances"][:2]
+    second["id"], second["tokens"] = first["id"], first["tokens"]
+    (root / "dev.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("corrupt", [_extra_line, _duplicated_line, _repeated_manifest_id])
+def test_transcripts_must_be_the_manifest_entries_in_order(corpus, corrupt):
+    _, root = corpus
+    corrupt(root)
+    with pytest.raises(IntegrityError, match="transcript mismatch"):
+        load_split(root, "dev")
+
+
 def test_spec_validation_rejects_unlearnable_geometry(tmp_path):
     # fewer than 7 frames cannot pass the two stride-2 downsampling stages
     with pytest.raises(ConfigError):

@@ -4,27 +4,34 @@ The two conv ops' kernel-list forms are checked bit for bit against the
 composite of fold, conv and reorder nodes they replaced
 (``oracles.depthwise_composite`` and ``oracles.grouped_composite``), and for
 closeness against the loop definitions of the fusions: the sum, or the
-concatenation, of the branch convolutions. ``gelu`` is checked against the
-float64 scipy formula, ``glu`` and ``residual`` bit for bit against the
-composites they replaced, ``layer_norm`` (a right part [lo:] read in place)
-against ``layer_norm_rows`` and its complex-step gradient, and ``mix_rows``
-against its loop references. The draws are derandomised, so every run
-checks the same cases.
+concatenation, of the branch convolutions. ``depthwise_conv`` with a
+``mix`` is checked bit for bit against the one-kernel convs and the
+``oracles.mix_rows`` node it replaced, and for closeness against the mix
+of the loop convolutions. ``gelu`` is checked against the float64 scipy
+formula; ``glu``, ``residual`` and ``conv_blocks.gate`` bit for bit against
+the composites they replaced; ``Conv2dDown`` against
+``oracles.conv2d_down_reference``; ``layer_norm`` (a right part [lo:] read
+in place) against ``layer_norm_rows`` and its complex-step gradient; and
+``oracles.mix_rows`` against its loop references. The draws are
+derandomised, so every run checks the same cases.
 """
 
 import numpy as np
+import pytest
 from scipy import special
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
-from multiconv.conv_blocks import mix_rows
-from multiconv.layers import (INV_SQRT2, INV_SQRT_2PI, depthwise_conv, gelu, glu, grouped_conv,
-                              layer_norm, residual)
+from multiconv.conv_blocks import gate
+from multiconv.errors import ShapeError
+from multiconv.layers import (INV_SQRT2, INV_SQRT_2PI, Conv2dDown, depthwise_conv, gelu, glu,
+                              grouped_conv, layer_norm, residual)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
 MIX_TOL = {np.float32: 1e-6, np.float64: 1e-12}
+TOL_CONV2D = {np.float32: 1e-6, np.float64: 1e-14}  # as tests/test_layers.py
 
 
 @st.composite
@@ -46,17 +53,20 @@ def kernel_lists(draw):
     return widths, t_len, dtype, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
 
 
-def _run(op, x, weights, biases, g, x_grad):
+def _run(op, x, weights, biases, g, x_grad, *mix):
     """Output, x's gradient (None when x takes none), each kernel's and each
-    bias's gradient and the node count of ``op`` under sum(g * out)."""
+    bias's gradient (then the mix's, when one is given) and the node count
+    of ``op`` under sum(g * out)."""
     xt = Tensor(x, requires_grad=x_grad)
     ws = [Tensor(w, requires_grad=True) for w in weights]
     bs = [Tensor(b, requires_grad=True) for b in biases]
+    ms = [Tensor(m, requires_grad=True) for m in mix]
     with Tape() as tape:
-        out = op(xt, ws, bs)
+        out = op(xt, ws, bs, *ms)
         nodes = len(tape)
         backward(tsum(mul(out, Tensor(g))))
-    return [out.data, xt.grad, *(w.grad for w in ws), *(b.grad for b in bs)], nodes
+    grads = [t.grad for t in (*ws, *bs, *ms)]
+    return [out.data, xt.grad, *grads], nodes
 
 
 def _check(got, composite, loops, dtype):
@@ -92,6 +102,43 @@ def test_depthwise_kernel_list_is_the_sum_of_its_branch_convolutions(case, chann
              *(dw[:, 0, 0] for _, dw in grads), *(g64.sum(axis=0) for _ in biases)]
     _check(_run(depthwise_conv, x, weights, biases, g, x_grad),
            _run(oracles.depthwise_composite, x, weights, biases, g, x_grad), loops, dtype)
+
+
+def _branch_mix(x, ws, bs, alpha):
+    """The ``weighted`` fusion as one-kernel convs and a mix_rows node."""
+    return oracles.mix_rows([depthwise_conv(x, [w], [b]) for w, b in zip(ws, bs)], alpha)
+
+
+@SETTINGS
+@given(case=kernel_lists(), channels=st.integers(1, 5))
+def test_depthwise_mix_is_the_weighted_sum_of_its_branch_convolutions(case, channels):
+    widths, t_len, dtype, x_grad, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(t_len, channels)).astype(dtype)
+    weights = [rng.normal(size=(channels, k)).astype(dtype) for k in widths]
+    biases = [rng.normal(size=channels).astype(dtype) for _ in widths]
+    alpha = oracles.softmax_rows(rng.normal(size=(t_len, len(widths)))).astype(dtype)
+    g = rng.normal(size=(t_len, channels)).astype(dtype)
+    x64, g64 = x.astype(np.float64), g.astype(np.float64)
+    outs = [oracles.depthwise_conv_loops(x64, w.astype(np.float64), b.astype(np.float64))
+            for w, b in zip(weights, biases)]
+    g_outs, d_alpha = oracles.mix_rows_grads_loops(outs, alpha, g64)
+    grads = [oracles.grouped_conv_grads_loops(x64, w.astype(np.float64)[:, None, None], gi,
+                                              channels) for w, gi in zip(weights, g_outs)]
+    loops = [oracles.mix_rows_loops(outs, alpha), sum(dx for dx, _ in grads) if x_grad else None,
+             *(dw[:, 0, 0] for _, dw in grads), *(gi.sum(axis=0) for gi in g_outs), d_alpha]
+    mixed = _run(lambda xt, ws, bs, at: depthwise_conv(xt, ws, bs, mix=at),
+                 x, weights, biases, g, x_grad, alpha)
+    _check(mixed, _run(_branch_mix, x, weights, biases, g, x_grad, alpha), loops, dtype)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (6, 3), (1, 3)])
+def test_depthwise_mix_must_be_one_weight_per_frame_and_kernel(shape):
+    x = Tensor(np.ones((5, 4)))
+    weights = [Tensor(np.ones((4, k))) for k in (1, 3, 5)]
+    biases = [Tensor(np.zeros(4)) for _ in weights]
+    with pytest.raises(ShapeError, match="mix"):
+        depthwise_conv(x, weights, biases, mix=Tensor(np.full(shape, 1.0 / 3)))
 
 
 @SETTINGS
@@ -224,7 +271,7 @@ def test_mix_rows_is_its_loop_reference(case, p):
                    requires_grad=True)
     g = rng.normal(size=(t_len, channels)).astype(dtype)
     with Tape():
-        out = mix_rows(parts, alpha)
+        out = oracles.mix_rows(parts, alpha)
         backward(tsum(mul(out, Tensor(g))))
     arrays = [v.data for v in parts]
     d_parts, d_alpha = oracles.mix_rows_grads_loops(arrays, alpha.data, g)
@@ -233,3 +280,46 @@ def test_mix_rows_is_its_loop_reference(case, p):
     for got, want in pairs:
         assert got.dtype == dtype
         assert np.abs(got - want).max() <= MIX_TOL[dtype] * max(1.0, np.abs(want).max())
+
+
+@SETTINGS
+@given(case=shapes(dims=(1, 1), size=8), half=st.integers(1, 6))
+def test_gate_is_its_composite_bit_for_bit(case, half):
+    (t_len,), dtype, seed = case
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(t_len, 2 * half)).astype(dtype)
+    v = rng.normal(size=(t_len, half)).astype(dtype)
+    proj = rng.normal(size=(t_len, half)).astype(dtype)
+    got = oracles.taped(gate, (a, v), proj, "tape")
+    want = oracles.taped(lambda at, vt: mul(oracles.split_channels(at, half)[0], vt),
+                         (a, v), proj, "tape")
+    assert got[0].dtype == dtype and np.array_equal(got[0], want[0])
+    for ours, theirs in zip(got[1], want[1]):
+        assert ours.dtype == dtype and np.array_equal(ours, theirs)
+    assert not got[1][0][:, half:].any()
+
+
+@SETTINGS
+@given(case=shapes(dims=(2, 2), size=14), cin=st.integers(1, 5), cout=st.integers(1, 6),
+       x_grad=st.booleans())
+def test_conv2d_down_is_its_channel_first_reference(case, cin, cout, x_grad):
+    (t_in, f_in), dtype, seed = case
+    rng = np.random.default_rng(seed)
+    t_in, f_in = t_in + 2, f_in + 2  # at least the 3x3 kernel
+    conv = Conv2dDown(cin, cout, rng).astype(dtype)
+    x = rng.normal(size=(t_in, f_in, cin)).astype(dtype)
+    g = rng.normal(size=(conv.out_len(t_in), conv.out_len(f_in), cout)).astype(dtype)
+    ref_y, ref_dx, ref_dw, ref_db = oracles.conv2d_down_reference(
+        x, conv.weight.data, conv.bias.data, g)
+    xt = Tensor(x, requires_grad=x_grad)
+    with Tape():
+        y = conv(xt)
+        backward(tsum(mul(y, Tensor(g))))
+    # the channel-last gather reorders only each output's sum over the patch:
+    # the forward is close (exact with one channel), the gradients exact
+    assert y.dtype == dtype
+    assert np.abs(y.data - ref_y).max() <= TOL_CONV2D[dtype] * np.abs(ref_y).max()
+    assert cin > 1 or np.array_equal(y.data, ref_y)
+    assert (xt.grad is None) == (not x_grad)
+    for got, want in zip((xt.grad, conv.weight.grad, conv.bias.grad), (ref_dx, ref_dw, ref_db)):
+        assert got is None or (got.dtype == dtype and np.array_equal(got, want))
