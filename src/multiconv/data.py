@@ -170,7 +170,7 @@ def load_split(data_dir, split: str) -> list[Utterance]:
     root = Path(data_dir)
     n_mels, total_frames, entries = _read_manifest(root / f"{split}.json")
     frames = _map_frames(root / f"{split}.f32", total_frames, n_mels)
-    if _read_transcripts(root / f"{split}.txt") != [(e[0], e[3]) for e in entries]:
+    if _read_transcripts(root / f"{split}.txt") != [(uid, ids) for uid, _, _, ids in entries]:
         raise IntegrityError(f"transcript mismatch between {split}.json and {split}.txt")
     utts = []
     for uid, lo, n_frames, tokens in entries:
