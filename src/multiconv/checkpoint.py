@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count, replacing
+from .errors import (MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count,
+                     manifest_tiling, replacing)
 
 MAGIC = b"MCFK"
 VERSION = 1
@@ -65,8 +66,8 @@ def save_arrays(path, named: list[tuple[str, np.ndarray]]) -> None:
 def _read_manifest(path, raw: bytes, payload_size: int):
     """``[(name, dtype, shape, start, stop), ...]`` from a checkpoint manifest.
     A manifest that is not UTF-8 JSON, is not a list of entry objects, repeats
-    a name, holds a field of the wrong type or an unknown dtype, or points past
-    the payload raises :class:`IntegrityError`."""
+    a name, holds a field of the wrong type or an unknown dtype, or does not
+    tile the payload (``manifest_tiling``) raises :class:`IntegrityError`."""
     try:
         manifest = json.loads(raw.decode("utf-8"))
         if type(manifest) is not list:
@@ -84,10 +85,9 @@ def _read_manifest(path, raw: bytes, payload_size: int):
                 raise TypeError(f"entry {name!r} has shape {shape!r}")
             shape = tuple(manifest_count(d) for d in shape)
             start = manifest_count(e["offset"])
-            stop = start + math.prod(shape) * np.dtype(dtype).itemsize
-            if stop > payload_size:
-                raise ValueError(f"entry {name!r} overruns the payload")
-            entries.append((name, dtype, shape, start, stop))
+            entries.append((name, dtype, shape, start,
+                            start + math.prod(shape) * np.dtype(dtype).itemsize))
+        manifest_tiling([(name, start, stop) for name, _, _, start, stop in entries], payload_size)
         return entries
     except MANIFEST_ERRORS as exc:
         raise IntegrityError(

@@ -28,11 +28,11 @@ convolutional spatial gating unit; the ``csgu`` baseline block,
 
 Parameters are held per branch, but every fusion is one conv node that is
 handed the branches' kernel and bias lists: ``sum`` is
-:func:`~multiconv.layers.depthwise_conv` over the centred, summed kernels
-plus the summed biases, ``weighted`` the same op mixing each kernel's own
-output by the gate's softmax (``mix``), and ``concat``/``depth``
-:func:`~multiconv.layers.grouped_conv` over the centred kernels stacked,
-its output written in branch order with each branch's bias added. Each op
+:func:`~multiconv.layers.depthwise_conv` over the centred kernels added
+into one, plus the summed biases, ``weighted`` the same op mixing each
+kernel's own output by the gate's softmax (``mix``), and ``concat``/``depth``
+:func:`~multiconv.layers.grouped_conv` over one kernel holding the centred
+ones, its output in branch order with each branch's bias added. Each op
 hands every branch its own gradients, so the node count does not grow with P.
 """
 

@@ -39,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DataSpec
-from .errors import MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count, replacing
+from .errors import (MANIFEST_ERRORS, ContractError, IntegrityError, manifest_count,
+                     manifest_tiling, replacing)
 
 SPLITS = ("train", "dev", "test")
 
@@ -51,11 +52,15 @@ class Utterance:
     tokens: list[int]
 
 
+def _seed_streams(spec: DataSpec) -> dict[str, np.random.SeedSequence]:
+    """The corpus's independent streams, spawned from ``spec.seed`` in this
+    order: the token templates, then train, dev and test."""
+    return dict(zip(("templates", *SPLITS), np.random.SeedSequence(spec.seed).spawn(4)))
+
+
 def token_templates(spec: DataSpec) -> np.ndarray:
     """The frozen per-token feature templates, shape [vocab, n_mels]."""
-    root = np.random.SeedSequence(spec.seed)
-    template_ss = root.spawn(4)[0]
-    rng = np.random.default_rng(template_ss)
+    rng = np.random.default_rng(_seed_streams(spec)["templates"])
     return rng.normal(0.0, 1.0, size=(spec.vocab, spec.n_mels))
 
 
@@ -97,12 +102,9 @@ def generate_dataset(spec: DataSpec, out_dir, force: bool = False) -> None:
         raise ContractError(
             f"output dir {out} is not empty; pass force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    templates = token_templates(spec)
-    _, train_ss, dev_ss, test_ss = np.random.SeedSequence(spec.seed).spawn(4)
-    for split, count, ss in (("train", spec.n_train, train_ss),
-                             ("dev", spec.n_dev, dev_ss),
-                             ("test", spec.n_test, test_ss)):
-        _write_split(out, split, spec, count, templates, ss)
+    templates, streams = token_templates(spec), _seed_streams(spec)
+    for split, count in zip(SPLITS, (spec.n_train, spec.n_dev, spec.n_test)):
+        _write_split(out, split, spec, count, templates, streams[split])
     spec.save(out / "data_spec.json")
 
 
@@ -112,8 +114,9 @@ def load_spec(data_dir) -> DataSpec:
 
 def _read_manifest(path: Path):
     """``(n_mels, total_frames, [(id, offset, frames, tokens), ...])`` from a
-    split manifest. A manifest that is not UTF-8 JSON, lacks a field, or
-    holds a value of the wrong type raises :class:`IntegrityError`."""
+    split manifest. A manifest that is not UTF-8 JSON, lacks a field, holds a
+    value of the wrong type, or does not tile its ``total_frames``
+    (``manifest_tiling``) raises :class:`IntegrityError`."""
     try:
         manifest = json.loads(path.read_text())
         entries = []
@@ -123,8 +126,9 @@ def _read_manifest(path: Path):
             entries.append((e["id"], manifest_count(e["offset"]),
                             manifest_count(e["frames"]),
                             [manifest_count(t) for t in e["tokens"]]))
-        return (manifest_count(manifest["n_mels"]),
-                manifest_count(manifest["total_frames"]), entries)
+        total_frames = manifest_count(manifest["total_frames"])
+        manifest_tiling([(uid, lo, lo + n) for uid, lo, n, _ in entries], total_frames)
+        return manifest_count(manifest["n_mels"]), total_frames, entries
     except MANIFEST_ERRORS as exc:
         raise IntegrityError(
             f"{path.name} is not a valid split manifest ({type(exc).__name__}: {exc})") from None
@@ -172,10 +176,5 @@ def load_split(data_dir, split: str) -> list[Utterance]:
     frames = _map_frames(root / f"{split}.f32", total_frames, n_mels)
     if _read_transcripts(root / f"{split}.txt") != [(uid, ids) for uid, _, _, ids in entries]:
         raise IntegrityError(f"transcript mismatch between {split}.json and {split}.txt")
-    utts = []
-    for uid, lo, n_frames, tokens in entries:
-        hi = lo + n_frames
-        if hi > total_frames:
-            raise IntegrityError(f"{split}.json entry {uid} overruns the frame file")
-        utts.append(Utterance(uid=uid, feats=frames[lo:hi], tokens=tokens))
-    return utts
+    return [Utterance(uid=uid, feats=frames[lo:lo + n], tokens=tokens)
+            for uid, lo, n, tokens in entries]

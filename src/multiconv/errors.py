@@ -40,6 +40,21 @@ def manifest_count(value) -> int:
     return value
 
 
+def manifest_tiling(entries, end: int) -> None:
+    """``ValueError`` unless the ``(name, start, stop)`` entries lay the payload
+    out back to back, as the writers do: the first from 0, each from where the
+    one before stopped, the last to ``end``. A moved entry reads others' bytes."""
+    at = 0
+    for name, start, stop in entries:
+        if stop > end:
+            raise ValueError(f"entry {name!r} overruns the payload ({stop} > {end})")
+        if start != at:
+            raise ValueError(f"entry {name!r} starts at {start}, not at {at}")
+        at = stop
+    if at != end:
+        raise ValueError(f"the entries stop at {at}, short of the payload's end ({end})")
+
+
 @contextmanager
 def replacing(path, fsync: bool = False):
     """A binary file opened at a temporary name beside ``path`` and renamed

@@ -310,16 +310,11 @@ class LayerNorm(Module):
         return layer_norm(x, self.gamma, self.beta)
 
 
-def _fold(op: str, weights: Sequence[Tensor], biases: Sequence[Tensor], lead: tuple,
-          out_shape: tuple) -> tuple[np.ndarray, list[slice]]:
-    """Check a conv op's kernel list and bias list, and centre the kernels.
-
-    Kernel i is [*lead, k_i] with k_i odd, and its bias i fits ``out_shape``.
-    Returns the kernels zero-padded on both sides to the widest width and
-    stacked, [P, *lead, k_max] (one kernel comes back as a view of itself),
-    with the slice each one's own taps take there; the op sums or stacks
-    them and crops their gradients back.
-    """
+def _kernel_list(op: str, weights: Sequence[Tensor], biases: Sequence[Tensor], lead: tuple,
+                 out_shape: tuple) -> tuple[int, list[slice]]:
+    """Check a conv op's kernels [*lead, k_i odd], one bias each that fits
+    ``out_shape``, and return the widest width and the centred slice of it
+    that each kernel's taps take; each op lays its kernels out itself."""
     if not weights or len(biases) != len(weights):
         raise ShapeError(f"{op}: {len(weights)} kernels need one bias each, got {len(biases)}")
     for w in weights:
@@ -327,14 +322,8 @@ def _fold(op: str, weights: Sequence[Tensor], biases: Sequence[Tensor], lead: tu
             raise ShapeError(f"{op}: kernel {w.shape} is not [{', '.join(map(str, lead))}, odd k]")
     for b in biases:
         check_bias(op, b, out_shape)
-    if len(weights) == 1:  # the plain convolution: nothing to centre
-        return weights[0].data[None], [slice(None)]
     width = max(w.shape[-1] for w in weights)
-    taps = [slice((width - w.shape[-1]) // 2, (width + w.shape[-1]) // 2) for w in weights]
-    stacked = np.zeros((len(weights), *lead, width), dtype=weights[0].dtype)
-    for row, w, s in zip(stacked, weights, taps):
-        row[..., s] = w.data
-    return stacked, taps
+    return width, [slice((width - w.shape[-1]) // 2, (width + w.shape[-1]) // 2) for w in weights]
 
 
 def depthwise_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor],
@@ -347,45 +336,51 @@ def depthwise_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
     summed in list order, or, given ``mix`` alpha[T, P], the ``weighted``
     fusion out[t] = sum_i alpha[t, i] * out_i[t], each kernel on its own taps.
 
-    One node runs one shifted multiply-add per tap from one padded input,
-    forward and backward. A folded kernel's gradient is cropped back to each
-    kernel, and each bias gets its own copy of db. Mixed kernel i takes
-    g * alpha[:, i], and x's gradient sums the kernels' from last to first.
+    Taps are rows [k, C]: folded, the kernels added into one widest zero row
+    in list order; mixed, one row per kernel, read from its slice's start in
+    the shared pad. One node runs one shifted multiply-add per tap from one
+    padded input, forward and backward. A folded kernel's gradient is
+    cropped back to each kernel, and each bias gets its own copy of db.
+    Mixed kernel i takes g * alpha[:, i], and x's gradient sums the
+    kernels' from last to first.
     """
     if x.ndim != 2:
         raise ShapeError(f"depthwise_conv: x must be [T, C], got {x.shape}")
     t, c = x.shape
-    stacked, spots = _fold("depthwise_conv", weights, biases, (c,), x.shape)
+    width, spots = _kernel_list("depthwise_conv", weights, biases, (c,), x.shape)
     if mix is None:  # one row: the summed kernel and biases
-        rows = [(sum(stacked[1:], stacked[0]), sum((b.data for b in biases[1:]), biases[0].data))]
+        taps = np.zeros((width, c), dtype=weights[0].dtype)
+        for w, s in zip(weights, spots):
+            taps[s] += w.data.T
+        rows = [(taps, 0, sum((b.data for b in biases[1:]), biases[0].data))]
     elif mix.shape != (t, len(weights)):
         raise ShapeError(f"depthwise_conv: mix {mix.shape} is not [{t}, {len(weights)}]")
     else:  # one row per kernel, mixed after
-        rows = [(w.data, b.data) for w, b in zip(weights, biases)]
-    width = stacked.shape[-1]
+        rows = [(np.ascontiguousarray(w.data.T), s.start, b.data)
+                for w, s, b in zip(weights, spots, biases)]
     xpad = np.zeros((t + width - 1, c), dtype=x.data.dtype)
     xpad[width // 2:width // 2 + t] = x.data
-    taps = [np.ascontiguousarray(w.T) for w, _ in rows]  # [k, C]: each tap one contiguous row
-    los = [(width - len(tap)) // 2 for tap in taps]  # each row's first tap in the shared pad
     outs = [np.zeros((t, c), dtype=x.data.dtype) for _ in rows]
-    for acc, tap, lo, (_, b) in zip(outs, taps, los, rows):
-        for j in range(len(tap)):
-            acc += xpad[lo + j:lo + j + t] * tap[j]
+    for acc, (taps, lo, b) in zip(outs, rows):  # lo: the row's first tap in the shared pad
+        for j in range(len(taps)):
+            acc += xpad[lo + j:lo + j + t] * taps[j]
         acc += b
     out = outs[0] if mix is None else outs[0] * mix.data[:, 0:1]
     for i in range(1, len(outs)):
         out += outs[i] * mix.data[:, i:i + 1]
 
     def bwd(g):
-        dws, dbs, dx = [np.empty_like(w) for w, _ in rows], [None] * len(rows), None
+        dws, dbs, dx = [None] * len(rows), [None] * len(rows), None
         for i in reversed(range(len(rows))):  # sums x's gradient as a tape sums P nodes'
+            taps, lo, _ = rows[i]
             gi = g if mix is None else g * mix.data[:, i:i + 1]
-            k = len(taps[i])
+            k = len(taps)
+            dws[i] = np.empty((c, k), dtype=taps.dtype)
             for j in range(k):
-                dws[i][:, j] = np.einsum("tc,tc->c", xpad[los[i] + j:los[i] + j + t], gi)
+                dws[i][:, j] = np.einsum("tc,tc->c", xpad[lo + j:lo + j + t], gi)
             gpad = np.zeros((t + k - 1, c), dtype=xpad.dtype)
             for j in range(k):
-                gpad[j:j + t] += gi * taps[i][j]
+                gpad[j:j + t] += gi * taps[j]
             dbs[i] = gi.sum(axis=0)
             if dx is None:
                 dx = gpad[k // 2:k // 2 + t]
@@ -421,9 +416,9 @@ def grouped_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor])
     computed from input block g only. More kernels are the ``concat``
     fusion of their convolutions, folded.
 
-    The kernels, each centred in the widest, are stacked into one kernel
-    with P*O outputs per group, which runs as im2col plus one batched
-    matmul over the groups; its group-major output is written out in
+    The kernels, each centred in the widest, fill one kernel [G, P*O, k, I]
+    in the windows' frame-major order, which runs as im2col plus one
+    batched matmul over the groups; its group-major output is written out in
     kernel order. Backward gets dW from the saved columns by a second
     batched matmul, cropped back to each kernel, and dx as the same
     convolution of the output gradient with the in/out-swapped, tap-flipped
@@ -434,14 +429,14 @@ def grouped_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor])
         raise ShapeError(f"grouped_conv: x {x.shape} is not [T, G*I] for the kernels "
                          f"[G, O, I, k] {[w.shape for w in weights]}")
     groups, opg, ipg, _ = weights[0].shape
-    t = x.shape[0]
-    stacked, spots = _fold("grouped_conv", weights, biases, (groups, opg, ipg), (t, groups * opg))
-    p, k = len(weights), stacked.shape[-1]
+    t, p = x.shape[0], len(weights)
+    k, spots = _kernel_list("grouped_conv", weights, biases, (groups, opg, ipg), (t, groups * opg))
     rows = p * opg
-    w = stacked.transpose(1, 0, 2, 3, 4).reshape(groups, rows, ipg, k)  # [G, P*O, I, k]
+    w = np.zeros((groups, rows, k, ipg), dtype=weights[0].dtype)  # [G, P*O, k, I]
+    for i, (wi, s) in enumerate(zip(weights, spots)):
+        w[:, i * opg:(i + 1) * opg, s] = wi.data.transpose(0, 1, 3, 2)
     cols = _im2col(x.data, k, groups)  # [G, T, k*I]
-    w2 = w.transpose(0, 1, 3, 2).reshape(groups, rows, k * ipg)
-    y = cols @ w2.transpose(0, 2, 1)  # [G, T, P*O]
+    y = cols @ w.reshape(groups, rows, k * ipg).transpose(0, 2, 1)  # [G, T, P*O]
     out = y.reshape(groups, t, p, opg).transpose(1, 2, 0, 3).reshape(t, p * groups * opg)
     out += np.concatenate([b.data for b in biases])
 
@@ -449,7 +444,7 @@ def grouped_conv(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor])
         gy = g.reshape(t, p, groups, opg).transpose(0, 2, 1, 3).reshape(t, groups * rows)
         g3 = gy.reshape(t, groups, rows).transpose(1, 2, 0)  # [G, P*O, T]
         dw = (g3 @ cols).reshape(groups, p, opg, k, ipg).transpose(0, 1, 2, 4, 3)
-        flipped = w[..., ::-1].transpose(0, 2, 3, 1).reshape(groups, ipg, k * rows)
+        flipped = w[:, :, ::-1].transpose(0, 3, 2, 1).reshape(groups, ipg, k * rows)
         dx = _im2col(gy, k, groups) @ flipped.transpose(0, 2, 1)  # [G, T, I]
         db = g.sum(axis=0).reshape(p, groups * opg)
         return (dx.transpose(1, 0, 2).reshape(t, groups * ipg),

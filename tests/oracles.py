@@ -20,7 +20,8 @@ import numpy as np
 
 from multiconv.autodiff import Tape, Tensor, add, backward, mul, record, reshape, scale, tsum
 from multiconv.config import FusionKind
-from multiconv.layers import _expit, depthwise_conv, dropout, grouped_conv, observe, softmax
+from multiconv.layers import (_expit, depthwise_conv, dropout, grouped_conv, observe, observing,
+                              softmax)
 
 
 def depthwise_conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -205,6 +206,37 @@ def attention_reference(att, x: Tensor) -> Tensor:
     weights = dropout(weights, att.dropout_p)
     ctx = _batched_matmul(weights, v)
     return att.out_proj(reshape(_swapaxes(ctx, 0, 1), (t, att.dim)))
+
+
+def attention_pass(att, call, x0, proj, mode):
+    """Output, observed map, x's gradient, the parameters' gradients and the
+    tape's node count of one call, untaped or taped (with or without a
+    dropout generator) and then run backward through a fixed projection."""
+    att.zero_grad()
+    x = Tensor(x0, requires_grad=True)
+    nodes = None
+    with observing() as seen:
+        if mode == "no tape":
+            out = call(x)
+        else:
+            rng = np.random.default_rng(11) if mode == "tape with generator" else None
+            with Tape(rng) as tape:
+                out = call(x)
+                nodes = len(tape)
+                backward(tsum(mul(out, proj)))
+    return out.data, seen[att][0], x.grad, [p.grad for p in att.parameters()], nodes
+
+
+def dropout_mask_loops(rng: np.random.Generator, shape: tuple, dtype, p: float) -> np.ndarray:
+    """An inverted-dropout mask drawn one uniform at a time in C order: 1 / (1 - p),
+    computed in ``dtype``, where the draw is below 1 - p, else 0."""
+    keep = 1.0 - p
+    scaled = np.divide(np.ones((), dtype=dtype), np.asarray(keep, dtype=dtype))
+    mask = np.zeros(shape, dtype=dtype)
+    for index in np.ndindex(*shape):
+        if rng.random() < keep:
+            mask[index] = scaled
+    return mask
 
 
 def residual_reference(x: Tensor, h: Tensor, c: float, p: float) -> Tensor:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from multiconv.attention import MultiHeadAttention
-from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
+from multiconv.autodiff import Tensor
 from multiconv.errors import ConfigError, ShapeError
 from multiconv.layers import observing
 
@@ -102,25 +102,6 @@ def test_float32_output():
     assert out.dtype == np.float32
 
 
-def _pass(att, call, x0, proj, mode):
-    """Output, observed map, x's gradient, the parameters' gradients and the
-    tape's node count of one call, untaped or taped (with or without a
-    dropout generator) and then run backward through a fixed projection."""
-    att.zero_grad()
-    x = Tensor(x0, requires_grad=True)
-    nodes = None
-    with observing() as seen:
-        if mode == "no tape":
-            out = call(x)
-        else:
-            rng = np.random.default_rng(11) if mode == "tape with generator" else None
-            with Tape(rng) as tape:
-                out = call(x)
-                nodes = len(tape)
-                backward(tsum(mul(out, proj)))
-    return out.data, seen[att][0], x.grad, [p.grad for p in att.parameters()], nodes
-
-
 @pytest.mark.parametrize("mode", ["no tape", "tape", "tape with generator"])
 @pytest.mark.parametrize("t", [1, 2, 19])
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -130,8 +111,8 @@ def test_one_node_matches_the_composite_reference_bit_for_bit(dtype, heads, t, m
     rng = np.random.default_rng(t)
     x0 = rng.normal(size=(t, 8)).astype(dtype)
     proj = Tensor(rng.normal(size=(t, 8)).astype(dtype))
-    out, seen, gx, grads, nodes = _pass(att, att, x0, proj, mode)
-    ref_out, ref_seen, ref_gx, ref_grads, ref_nodes = _pass(
+    out, seen, gx, grads, nodes = oracles.attention_pass(att, att, x0, proj, mode)
+    ref_out, ref_seen, ref_gx, ref_grads, ref_nodes = oracles.attention_pass(
         att, lambda x: oracles.attention_reference(att, x), x0, proj, mode)
     assert out.dtype == dtype
     assert np.array_equal(out, ref_out)
@@ -147,4 +128,4 @@ def test_one_node_matches_the_composite_reference_bit_for_bit(dtype, heads, t, m
         assert g.dtype == dtype and np.array_equal(g, ref)
     if mode == "tape with generator":
         # the mask scales every kept weight by 1 / 0.9, so dropout moved the output
-        assert not np.array_equal(out, _pass(att, att, x0, proj, "tape")[0])
+        assert not np.array_equal(out, oracles.attention_pass(att, att, x0, proj, "tape")[0])

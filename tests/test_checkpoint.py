@@ -90,6 +90,14 @@ def test_truncated_payload_detected(tmp_path):
         load_arrays(path)
 
 
+def test_trailing_payload_bytes_detected(tmp_path):
+    path = tmp_path / "trail.mckpt"
+    save_arrays(path, [("x", RNG.normal(size=100))])
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(IntegrityError, match="manifest"):
+        load_arrays(path)
+
+
 def _entries(edit):
     """A manifest rewrite that applies ``edit`` to the decoded entry list."""
     def rewrite(text):
@@ -109,6 +117,11 @@ CORRUPT_MANIFESTS = {
     "negative-offset": _entries(lambda e: e[0].update(offset=-8)),
     "negative-dimension": _entries(lambda e: e[0].update(shape=[-1])),
     "duplicate-name": _entries(lambda e: e[1].update(name="a")),
+    # the entries must tile the payload: "b" inside "a"'s bytes, "b" at "a"'s
+    # offset, and payload bytes that no entry holds
+    "moved-offset": _entries(lambda e: e[1].update(offset=8)),
+    "repeated-offset": _entries(lambda e: e[1].update(offset=e[0]["offset"])),
+    "bytes-past-the-last-entry": _entries(lambda e: e[1].update(shape=[2, 2])),
 }
 
 

@@ -279,8 +279,32 @@ def _ill_typed(path):
     path.write_text(json.dumps(manifest))
 
 
+def _moved_offset(path):
+    # entry 1 at entry 0's frames: utterance 0's features under utterance 1's labels
+    manifest = json.loads(path.read_text())
+    manifest["utterances"][1]["offset"] = 0
+    path.write_text(json.dumps(manifest))
+
+
+def _repeated_offset(path):
+    manifest = json.loads(path.read_text())
+    entries = manifest["utterances"]
+    entries[2]["offset"] = entries[1]["offset"]
+    path.write_text(json.dumps(manifest))
+
+
+def _trailing_frames(path):
+    # frames past the last entry, counted in total_frames and present in the file
+    manifest = json.loads(path.read_text())
+    manifest["total_frames"] += 2
+    path.write_text(json.dumps(manifest))
+    with open(path.with_suffix(".f32"), "ab") as fh:
+        fh.write(bytes(2 * manifest["n_mels"] * 4))
+
+
 @pytest.mark.parametrize("corrupt", [_truncate, _non_utf8, _drop_key, _ill_typed,
-                                     _deeply_nested])
+                                     _deeply_nested, _moved_offset, _repeated_offset,
+                                     _trailing_frames])
 def test_corrupt_manifest_raises_integrity_error(corpus, corrupt):
     _, root = corpus
     corrupt(root / "dev.json")

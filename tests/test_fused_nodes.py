@@ -12,8 +12,12 @@ formula; ``glu``, ``residual`` and ``conv_blocks.gate`` bit for bit against
 the composites they replaced; ``Conv2dDown`` against
 ``oracles.conv2d_down_reference``; ``layer_norm`` (a right part [lo:] read
 in place) against ``layer_norm_rows`` and its complex-step gradient; and
-``oracles.mix_rows`` against its loop references. The draws are
-derandomised, so every run checks the same cases.
+``oracles.mix_rows`` against its loop references. Kernel lists come in
+any order, repeats included, as the ops accept them. ``MultiHeadAttention``
+is checked bit for bit against ``oracles.attention_reference`` (dropout
+under a tape's generator included), and ``dropout_mask`` against
+``oracles.dropout_mask_loops`` under no tape, a tape and a tape with a
+generator. The draws are derandomised, so every run checks the same cases.
 """
 
 import numpy as np
@@ -22,11 +26,12 @@ from scipy import special
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from multiconv.attention import MultiHeadAttention
 from multiconv.autodiff import Tape, Tensor, backward, mul, tsum
 from multiconv.conv_blocks import gate
 from multiconv.errors import ShapeError
-from multiconv.layers import (INV_SQRT2, INV_SQRT_2PI, Conv2dDown, depthwise_conv, gelu, glu,
-                              grouped_conv, layer_norm, residual)
+from multiconv.layers import (INV_SQRT2, INV_SQRT_2PI, Conv2dDown, depthwise_conv, dropout_mask,
+                              gelu, glu, grouped_conv, layer_norm, residual)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
@@ -36,12 +41,12 @@ TOL_CONV2D = {np.float32: 1e-6, np.float64: 1e-14}  # as tests/test_layers.py
 
 @st.composite
 def kernel_lists(draw):
-    """(widths, T, dtype, x requires grad, seed): 1 to 4 odd, increasing
-    widths up to 15, and T of 1, below the widest or above it."""
-    p = draw(st.integers(1, 4))
-    halves = sorted(draw(st.sets(st.integers(0, 7), min_size=p, max_size=p)))
+    """(widths, T, dtype, x requires grad, seed): 1 to 4 odd widths up to 15
+    in any order, repeats included, as the ops accept them, and T of 1,
+    below the widest or above it."""
+    halves = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4))
     widths = tuple(2 * h + 1 for h in halves)
-    k_max = widths[-1]
+    k_max = max(widths)
     length = draw(st.sampled_from(["long", "short", "one"]))
     if length == "one":
         t_len = 1
@@ -323,3 +328,47 @@ def test_conv2d_down_is_its_channel_first_reference(case, cin, cout, x_grad):
     assert (xt.grad is None) == (not x_grad)
     for got, want in zip((xt.grad, conv.weight.grad, conv.bias.grad), (ref_dx, ref_dw, ref_db)):
         assert got is None or (got.dtype == dtype and np.array_equal(got, want))
+
+
+@SETTINGS
+@given(case=shapes(dims=(1, 1), size=24), heads=st.integers(1, 4), head_dim=st.integers(1, 4),
+       p=st.sampled_from([0.0, 0.1, 0.5]), mode=st.sampled_from(oracles.TAPE_MODES))
+def test_attention_is_its_composite_bit_for_bit(case, heads, head_dim, p, mode):
+    (t_len,), dtype, seed = case
+    rng = np.random.default_rng(seed)
+    dim = heads * head_dim
+    att = MultiHeadAttention(dim, heads, rng, dropout_p=p).astype(dtype)
+    x0 = rng.normal(size=(t_len, dim)).astype(dtype)
+    proj = Tensor(rng.normal(size=(t_len, dim)).astype(dtype))
+    out, seen, gx, grads, _ = oracles.attention_pass(att, att, x0, proj, mode)
+    ref_out, ref_seen, ref_gx, ref_grads, _ = oracles.attention_pass(
+        att, lambda x: oracles.attention_reference(att, x), x0, proj, mode)
+    pairs = [(out, ref_out), (seen, ref_seen)]
+    if mode != "no tape":
+        pairs += [(gx, ref_gx), *zip(grads, ref_grads)]
+    for ours, theirs in pairs:
+        assert ours.dtype == dtype and np.array_equal(ours, theirs)
+
+
+@SETTINGS
+@given(case=shapes(), p=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+       mode=st.sampled_from(oracles.TAPE_MODES))
+def test_dropout_mask_is_its_loop_reference(case, p, mode):
+    shape, dtype, seed = case
+    if mode == "no tape":
+        mask = dropout_mask(shape, dtype, p)
+    else:
+        with Tape(np.random.default_rng(seed) if mode == "tape with generator" else None):
+            mask = dropout_mask(shape, dtype, p)
+    if p == 0.0 or mode != "tape with generator":
+        assert mask is None
+        return
+    want = oracles.dropout_mask_loops(np.random.default_rng(seed), shape, dtype, p)
+    assert mask.dtype == dtype and np.array_equal(mask, want)
+
+
+def test_dropout_mask_draws_from_the_innermost_generator():
+    with Tape(np.random.default_rng(1)), Tape(np.random.default_rng(2)):
+        mask = dropout_mask((3, 4), np.float64, 0.5)
+    want = oracles.dropout_mask_loops(np.random.default_rng(2), (3, 4), np.float64, 0.5)
+    assert np.array_equal(mask, want)
