@@ -50,9 +50,8 @@ cfg = EncoderConfig(dim=16, layers=1, heads=2, d_inter=64, d_ffn=32,
 tcfg = TrainConfig(seed=0, steps=400, batch_size=8, lr=3e-3,
                    eval_every=20, target_ter=0.05)
 model = build_model(cfg)
+# writes the run directory that `multiconv eval --model` loads
 result = train_model(model, train, dev, tcfg, out_dir=workdir / "run", log=print)
-cfg.save(workdir / "run" / "encoder.json")
-tcfg.save(workdir / "run" / "train.json")
 stop = "early stop" if result.stopped_early else "step budget"
 print(f"finished after {result.steps_run} steps ({stop}); best dev TER "
       f"{result.best_dev_ter:.3f} at step {result.best_step}")

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
 import typing
 from pathlib import Path
-
-import numpy as np
-import scipy
 
 from . import analysis
 from .checkpoint import load_model
@@ -170,29 +165,14 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _numeric_environment() -> dict:
-    """What a run's bits depend on besides its configs and seed: the library
-    versions and the BLAS thread settings (None where unset)."""
-    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas_threads": {var: os.environ.get(var) for var in threads},
-            "cpu_count": os.cpu_count()}
-
-
 def _cmd_train(args) -> int:
     data_spec = load_spec(args.data)
     cfg = _encoder_from_args(args, n_mels=data_spec.n_mels, vocab=data_spec.vocab)
     tcfg = _record_from_args(TrainConfig, args, _TRAIN_FLAGS).validate()
     train_utts = load_split(args.data, "train")
     dev_utts = load_split(args.data, "dev")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # written first, so an interrupted run still leaves a loadable directory
-    cfg.save(out / "encoder.json")
-    tcfg.save(out / "train.json")
-    (out / "environment.json").write_text(json.dumps(_numeric_environment(), indent=2) + "\n")
     model = build_model(cfg)
-    result = train_model(model, train_utts, dev_utts, tcfg, out_dir=out,
+    result = train_model(model, train_utts, dev_utts, tcfg, out_dir=args.out,
                          log=None if args.quiet else print)
     if result.n_infeasible:
         print(f"warning: skipped {result.n_infeasible} utterance passes "

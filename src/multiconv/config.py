@@ -6,9 +6,9 @@ reject unknown keys so stale files fail loudly instead of half-applying.
 A file that is not JSON, or holds a value of the wrong type, fails with
 :class:`~multiconv.errors.ConfigError` too.
 
-The names of the conv blocks and the fusion rules, the kernel-list rule and
-the gate-width rules are defined here once; the model, the CLI and the
-loaders use these.
+The names of the conv blocks and the fusion rules, the kernel-list rule,
+the even-dim rule and the gate-width rules are defined here once; the
+model, the CLI and the loaders use these.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ def check_kernels(kernels) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(kernels, kernels[1:])):
         raise ConfigError(f"kernel widths must be strictly increasing, got {kernels}")
     return kernels
+
+
+def check_even_dim(dim: int) -> None:
+    """The position table interleaves sine and cosine columns: ``dim`` is even."""
+    if dim % 2:
+        raise ConfigError(f"positional table needs an even dim, got {dim}")
 
 
 def check_gate_width(d_inter: int, fusion: FusionKind, n_kernels: int) -> None:
@@ -177,6 +183,7 @@ class EncoderConfig(_JsonMixin):
         _check_fields(self)
         if self.dim < 1 or self.layers < 1 or self.heads < 1:
             raise ConfigError("dim, layers, and heads must be positive")
+        check_even_dim(self.dim)
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.conv_block not in CONV_BLOCKS:

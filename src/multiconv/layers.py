@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from .autodiff import FLOAT_DTYPES, Tape, Tensor, check_bias, matmul, record, reshape
-from .config import check_kernels
+from .config import check_even_dim, check_kernels
 from .errors import ConfigError, ContractError, ShapeError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -574,8 +574,7 @@ class FeedForward(Module):
 
 def sinusoid_table(length: int, dim: int) -> np.ndarray:
     """Classic interleaved sine/cosine position table, shape [length, dim]."""
-    if dim % 2:
-        raise ConfigError(f"positional table needs an even dim, got {dim}")
+    check_even_dim(dim)
     pos = np.arange(length, dtype=np.float64)[:, None]
     freq = np.exp(np.arange(0, dim, 2, dtype=np.float64) * (-math.log(10000.0) / dim))
     table = np.empty((length, dim), dtype=np.float64)

@@ -5,27 +5,29 @@ passes whose loss gradients are accumulated into the shared parameters and
 averaged by scaling each loss by 1/batch_size. Accumulation order inside a
 batch is fixed, which keeps whole runs bit-reproducible for a given seed.
 
-Metrics are appended to ``metrics.jsonl`` at every evaluation point. All
-fields except ``wall_seconds`` are deterministic functions of the seed,
-the data, and the configs.
+Given an output directory, :func:`train_model` writes the whole run there,
+configs first. All ``metrics.jsonl`` fields except ``wall_seconds`` are
+deterministic functions of the seed, the data, and the configs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .autodiff import Tape, Tensor, backward, scale
 from .checkpoint import save_model
 from .config import TrainConfig
 from .ctc import ctc_loss, edit_distance, greedy_decode, token_error_rate
 from .data import Utterance
-from .errors import ContractError, IntegrityError
+from .errors import ContractError, IntegrityError, replacing
 
 __all__ = [
     "Adam",
@@ -108,13 +110,13 @@ class EvalResult:
 
 @dataclass
 class TrainResult:
-    steps_run: int
-    final_dev_ter: float
-    best_dev_ter: float
-    best_step: int
-    stopped_early: bool
-    n_infeasible: int
-    wall_seconds: float
+    steps_run: int = 0
+    final_dev_ter: float = math.inf
+    best_dev_ter: float = math.inf
+    best_step: int = 0
+    stopped_early: bool = False
+    n_infeasible: int = 0
+    wall_seconds: float = 0.0
     metrics: list[dict] = field(default_factory=list)
 
 
@@ -161,15 +163,28 @@ def _batches(n: int, batch_size: int, steps: int, rng: np.random.Generator):
             emitted += 1
 
 
+def _numeric_environment() -> dict:
+    """What a run's bits depend on besides its configs and seed: the library
+    versions and the BLAS thread settings (None where unset)."""
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in threads},
+            "cpu_count": os.cpu_count()}
+
+
 def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
                 tcfg: TrainConfig, out_dir=None, log=None) -> TrainResult:
-    """Run CTC training, evaluating every ``eval_every`` steps.
+    """Run CTC training, evaluating every ``eval_every`` steps and after the
+    last one. An ``eval_every`` evaluation whose dev token error rate reaches
+    ``target_ter`` (when set) stops the run early; the last step's does not.
 
-    Stops early once the dev token error rate reaches ``target_ter`` (when
-    set). With ``out_dir`` given, appends ``metrics.jsonl`` rows and keeps
-    the best-dev checkpoint at ``model.mckpt``: the snapshot is rewritten
-    whenever an evaluation strictly improves on the best dev TER so far, so
-    the file on disk never corresponds to a worse model than any earlier one.
+    With ``out_dir`` given, the whole run directory is written there:
+    ``encoder.json`` (from ``model.cfg``), ``train.json`` and
+    ``environment.json`` before step 1, so a run cut short after its first
+    checkpoint still loads; a ``metrics.jsonl`` row per evaluation; and the
+    best-dev checkpoint ``model.mckpt``, rewritten whenever an evaluation
+    strictly improves on the best dev TER so far, so the file on disk never
+    corresponds to a worse model than any earlier one.
 
     Utterances too short for their label sequence are skipped; the skip
     count is reported on the result. A non-finite training loss aborts the
@@ -179,61 +194,30 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
     if len(train_utts) < tcfg.batch_size:
         raise ContractError(
             f"batch size {tcfg.batch_size} exceeds the {len(train_utts)} training utterances")
-    root_ss = np.random.SeedSequence(tcfg.seed)
-    shuffle_ss, dropout_ss = root_ss.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
+    if not dev_utts:
+        raise ContractError("training needs at least one dev utterance to evaluate")
+    shuffle_ss, dropout_ss = np.random.SeedSequence(tcfg.seed).spawn(2)
+    batches = _batches(len(train_utts), tcfg.batch_size, tcfg.steps,
+                       np.random.default_rng(shuffle_ss))
     dropout_rng = np.random.default_rng(dropout_ss)
-
     opt = Adam(model.parameters(), lr=tcfg.lr, beta1=tcfg.beta1,
                beta2=tcfg.beta2, eps=tcfg.eps)
     inv_batch = 1.0 / tcfg.batch_size
-    metrics_path = Path(out_dir) / "metrics.jsonl" if out_dir is not None else None
-    if metrics_path is not None:
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text("")
+    target = tcfg.early_stop_ter
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        model.cfg.save(out_dir / "encoder.json")
+        tcfg.save(out_dir / "train.json")
+        with replacing(out_dir / "environment.json") as fh:
+            fh.write((json.dumps(_numeric_environment(), indent=2) + "\n").encode())
+        (out_dir / "metrics.jsonl").write_text("")
 
     started = time.perf_counter()
-    metrics: list[dict] = []
-    loss_accum = 0.0
-    loss_count = 0
-    grad_norm = 0.0
-    stopped_early = False
-    final_ter = math.inf
-    best_ter = math.inf
-    best_step = 0
-    steps_run = 0
-    n_infeasible = 0
-
-    def log_eval(step: int) -> EvalResult:
-        nonlocal loss_accum, loss_count, best_ter, best_step
-        result = evaluate(model, dev_utts)
-        row = {
-            "step": step,
-            "train_loss": loss_accum / loss_count if loss_count else None,
-            "grad_norm": grad_norm,
-            "dev_loss": result.loss,
-            "dev_ter": result.ter,
-            "wall_seconds": time.perf_counter() - started,
-        }
-        metrics.append(row)
-        if metrics_path is not None:
-            with open(metrics_path, "a") as fh:
-                fh.write(json.dumps(row) + "\n")
-        if result.ter < best_ter:
-            best_ter = result.ter
-            best_step = step
-            if out_dir is not None:
-                save_model(Path(out_dir) / "model.mckpt", model)
-        if log is not None:
-            shown = "n/a" if row["train_loss"] is None else f"{row['train_loss']:.4f}"
-            log(f"step {step:5d}  train_loss {shown}  "
-                f"dev_loss {result.loss:.4f}  dev_ter {result.ter:.4f}")
-        loss_accum = 0.0
-        loss_count = 0
-        return result
-
-    for batch in _batches(len(train_utts), tcfg.batch_size, tcfg.steps, shuffle_rng):
-        steps_run += 1
+    run = TrainResult()
+    loss_accum, loss_count = 0.0, 0
+    for step, batch in enumerate(batches, start=1):
+        run.steps_run = step
         model.zero_grad()
         for idx in batch:
             utt = train_utts[idx]
@@ -242,35 +226,39 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
                 logits = model(Tensor(utt.feats))
                 loss, feasible = ctc_loss(logits, utt.tokens)
                 if not feasible:
-                    n_infeasible += 1
+                    run.n_infeasible += 1
                     tape.reset()  # no backward will free this pass's graph
                     continue
                 if not math.isfinite(loss.item()):
-                    raise IntegrityError(
-                        f"non-finite loss at step {steps_run}, utterance {utt.uid}")
+                    raise IntegrityError(f"non-finite loss at step {step}, utterance {utt.uid}")
                 backward(scale(loss, inv_batch))
             loss_accum += loss.item()
             loss_count += 1
         grad_norm = clip_gradients(opt.params, tcfg.clip_norm)
         opt.step()
-        if steps_run % tcfg.eval_every == 0:
-            result = log_eval(steps_run)
-            final_ter = result.ter
-            target = tcfg.early_stop_ter
-            if target is not None and result.ter <= target:
-                stopped_early = True
-                break
-
-    if not stopped_early and steps_run % tcfg.eval_every:
-        final_ter = log_eval(steps_run).ter
-
-    return TrainResult(
-        steps_run=steps_run,
-        final_dev_ter=final_ter,
-        best_dev_ter=best_ter,
-        best_step=best_step,
-        stopped_early=stopped_early,
-        n_infeasible=n_infeasible,
-        wall_seconds=time.perf_counter() - started,
-        metrics=metrics,
-    )
+        at_interval = step % tcfg.eval_every == 0
+        if not (at_interval or step == tcfg.steps):
+            continue
+        result = evaluate(model, dev_utts)
+        row = {"step": step, "train_loss": loss_accum / loss_count if loss_count else None,
+               "grad_norm": grad_norm, "dev_loss": result.loss, "dev_ter": result.ter,
+               "wall_seconds": time.perf_counter() - started}
+        run.metrics.append(row)
+        run.final_dev_ter = result.ter
+        if out_dir is not None:
+            with open(out_dir / "metrics.jsonl", "a") as fh:
+                fh.write(json.dumps(row) + "\n")
+        if result.ter < run.best_dev_ter:
+            run.best_dev_ter, run.best_step = result.ter, step
+            if out_dir is not None:
+                save_model(out_dir / "model.mckpt", model)
+        if log is not None:
+            shown = "n/a" if row["train_loss"] is None else f"{row['train_loss']:.4f}"
+            log(f"step {step:5d}  train_loss {shown}  "
+                f"dev_loss {result.loss:.4f}  dev_ter {result.ter:.4f}")
+        loss_accum, loss_count = 0.0, 0
+        if at_interval and target is not None and result.ter <= target:
+            run.stopped_early = True
+            break
+    run.wall_seconds = time.perf_counter() - started
+    return run

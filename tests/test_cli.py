@@ -123,6 +123,16 @@ def test_train_records_its_numeric_environment(workspace, tmp_path, monkeypatch)
         "cpu_count": os.cpu_count()}
 
 
+def test_train_rejects_an_odd_dim_before_writing_anything(workspace, tmp_path, capsys):
+    data, _ = workspace
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), "--dim", "5",
+                 "--heads", "5", "--d-inter", "10", "--kernels", "3", "--fusion", "sum",
+                 "--steps", "1", "--batch-size", "2", "--quiet"]) == 2
+    assert "even dim, got 5" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_eval_reports_ter(workspace, capsys):
     data, run = workspace
     assert main(["eval", "--data", str(data), "--model", str(run)]) == 0

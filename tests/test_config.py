@@ -8,7 +8,7 @@ import pytest
 
 from multiconv.config import SUBSAMPLER_FLOOR, DataSpec, EncoderConfig, TrainConfig
 from multiconv.errors import ConfigError
-from multiconv.layers import Subsampler
+from multiconv.layers import Subsampler, sinusoid_table
 
 
 def test_derived_widths_default_to_multiples_of_dim():
@@ -157,6 +157,20 @@ def test_float_fields_accept_json_integers(tmp_path):
 def test_encoder_validation(bad):
     with pytest.raises(ConfigError):
         EncoderConfig(**bad).validate()
+
+
+def test_odd_dim_fails_validation_by_the_position_table_rule(tmp_path):
+    # heads, d_inter and the kernels all fit dim 5: only the sine/cosine
+    # table, which build_model always makes, needs an even width
+    odd = EncoderConfig(dim=5, heads=5, d_inter=10, kernels=(3,), fusion="sum")
+    with pytest.raises(ConfigError, match="even dim, got 5"):
+        odd.validate()
+    path = tmp_path / "encoder.json"
+    odd.save(path)
+    with pytest.raises(ConfigError, match="even dim, got 5"):
+        EncoderConfig.load(path)
+    with pytest.raises(ConfigError, match="even dim, got 5"):
+        sinusoid_table(4, 5)
 
 
 @pytest.mark.parametrize("bad", [

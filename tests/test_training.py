@@ -9,6 +9,7 @@ import pytest
 
 from multiconv.autodiff import Tensor
 from multiconv.checkpoint import load_model, save_model
+from multiconv.cli import main
 from multiconv.config import DataSpec, EncoderConfig, TrainConfig
 from multiconv.data import generate_dataset, load_split
 from multiconv.encoder import build_model
@@ -218,6 +219,22 @@ def test_early_stop_fires_at_reachable_target(tmp_path):
     assert len(result.metrics) == 1
 
 
+def test_target_met_only_at_the_last_partial_window_does_not_stop_early(tmp_path):
+    # the run ends at step 2 before any eval_every step: its one eval comes
+    # after the last step, and only an eval_every step counts as an early stop
+    model, result, _ = small_run(tmp_path, steps=2, eval_every=5, target_ter=50.0)
+    assert not result.stopped_early
+    assert result.steps_run == 2
+    assert [m["step"] for m in result.metrics] == [2]
+
+
+def test_target_met_at_an_eval_every_step_that_is_the_last_stops_early(tmp_path):
+    model, result, _ = small_run(tmp_path, steps=3, target_ter=50.0)
+    assert result.stopped_early
+    assert result.steps_run == 3
+    assert [m["step"] for m in result.metrics] == [3]
+
+
 def test_final_eval_runs_for_partial_window(tmp_path):
     model, result, _ = small_run(tmp_path, steps=4)
     assert result.steps_run == 4
@@ -228,6 +245,29 @@ def test_final_eval_runs_for_partial_window(tmp_path):
 def test_batch_size_larger_than_corpus_rejected(tmp_path):
     with pytest.raises(ContractError):
         small_run(tmp_path, batch_size=100)
+
+
+def test_empty_dev_list_rejected_before_any_step(tmp_path):
+    data_dir = tmp_path / "data"
+    generate_dataset(SPEC, data_dir)
+    model = build_model(dataclasses.replace(ECFG, seed=0))
+    before = [p.data.copy() for p in model.parameters()]
+    out = tmp_path / "run"
+    with pytest.raises(ContractError, match="dev utterance"):
+        train_model(model, load_split(data_dir, "train"), [],
+                    TrainConfig(steps=4, batch_size=4, eval_every=2), out_dir=out)
+    assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+    assert not out.exists()
+
+
+def test_python_run_directory_loads_with_the_cli(tmp_path, capsys):
+    model, result, _ = small_run(tmp_path, steps=3, out_dir=tmp_path / "run")
+    names = {"encoder.json", "train.json", "environment.json", "metrics.jsonl", "model.mckpt"}
+    assert {p.name for p in (tmp_path / "run").iterdir()} == names
+    assert EncoderConfig.load(tmp_path / "run" / "encoder.json") == model.cfg
+    assert TrainConfig.load(tmp_path / "run" / "train.json").steps == 3
+    assert main(["eval", "--data", str(tmp_path / "data"), "--model", str(tmp_path / "run")]) == 0
+    assert "utterances=4" in capsys.readouterr().out
 
 
 def test_zero_lr_freezes_parameters(tmp_path):
