@@ -20,7 +20,7 @@ from .checkpoint import load_model
 from .config import CONV_BLOCKS, FUSIONS, DataSpec, EncoderConfig, TrainConfig, check_kernels
 from .data import SPLITS, generate_dataset, load_spec, load_split
 from .encoder import build_model
-from .errors import ConfigError
+from .errors import ConfigError, replacing
 from .gradcheck import run_suite
 from .training import evaluate, train_model
 
@@ -157,6 +157,13 @@ def _load_trained(model_dir: Path, data_dir: Path):
     return cfg, model
 
 
+def _write_out(path, text: str) -> None:
+    """``text`` at ``path`` by an atomic replace, as every file writer does."""
+    with replacing(path) as fh:
+        fh.write(text.encode())
+    print(f"wrote {path}")
+
+
 def _cmd_gen_data(args) -> int:
     spec = _record_from_args(DataSpec, args, _DATA_FLAGS)
     generate_dataset(spec, args.out, force=args.force)
@@ -194,8 +201,7 @@ def _cmd_eval(args) -> int:
     if result.n_infeasible:
         print(f"loss skipped {result.n_infeasible} utterances too short for their labels")
     if args.out:
-        Path(args.out).write_text(result.per_utt_csv())
-        print(f"wrote {args.out}")
+        _write_out(args.out, result.per_utt_csv())
     return 0
 
 
@@ -208,8 +214,7 @@ def _cmd_diagonality(args) -> int:
         print(f"layer {layer}: {cells}")
     print(f"mean diagonality {matrix.mean():.4f} over {min(args.utts, len(utts))} utterances")
     if args.out:
-        Path(args.out).write_text(analysis.diagonality_csv(matrix))
-        print(f"wrote {args.out}")
+        _write_out(args.out, analysis.diagonality_csv(matrix))
     return 0
 
 
@@ -223,8 +228,7 @@ def _cmd_gate_importance(args) -> int:
         cells = "  ".join(f"{v:.4f}" for v in importance[layer])
         print(f"layer {layer}: {cells}")
     if args.out:
-        Path(args.out).write_text(analysis.importance_csv(importance, cfg.kernels))
-        print(f"wrote {args.out}")
+        _write_out(args.out, analysis.importance_csv(importance, cfg.kernels))
     return 0
 
 

@@ -152,12 +152,16 @@ def edit_distance(ref: Sequence[int], hyp: Sequence[int]) -> int:
     return previous[-1]
 
 
+def pooled_error_rate(errors: int, ref_tokens: int) -> float:
+    """Edits over reference tokens, each summed over the utterances."""
+    if ref_tokens == 0:
+        raise ContractError("token error rate undefined for empty references")
+    return errors / ref_tokens
+
+
 def token_error_rate(refs: Sequence[Sequence[int]], hyps: Sequence[Sequence[int]]) -> float:
     """Total edit distance over total reference length, as a fraction."""
     if len(refs) != len(hyps):
         raise ContractError(f"got {len(refs)} references but {len(hyps)} hypotheses")
-    total_ref = sum(len(r) for r in refs)
-    if total_ref == 0:
-        raise ContractError("token error rate undefined for empty references")
-    errors = sum(edit_distance(r, h) for r, h in zip(refs, hyps))
-    return errors / total_ref
+    return pooled_error_rate(sum(edit_distance(r, h) for r, h in zip(refs, hyps)),
+                             sum(len(r) for r in refs))

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the checks of the JSON
 manifests that the split and checkpoint readers share, and the atomic
-replace that every file writer uses."""
+replace that every file writer uses (``metrics.jsonl``, an append-only log,
+is emptied when a run starts and then appended to)."""
 
 import os
 from contextlib import contextmanager

@@ -10,9 +10,13 @@ everywhere, reported as ``max_rel_err`` with the same floor so the pass
 condition is exactly ``max_rel_err <= tol``. Primitive ops get tol 1e-5;
 deep composites get 1e-4 to absorb accumulated finite-difference noise.
 
-Each audited module gets one case per tensor of its ``named_parameters()``
-(see :func:`_param_cases`), so a new parameter is audited without a new
-hand-written case.
+Each audited module is declared once, by :func:`_module_cases`: a case for
+its input and one per tensor of its ``named_parameters()`` at that same
+input, so a new parameter is audited without a new hand-written case.
+Modules audited on one input and their parameters on another call
+:func:`_param_cases` directly. The order of the cases is part of the audit:
+the reducer draws its random projections at run time, from the generator
+that built the cases.
 
 Everything runs in float64; float32 would drown the comparison in rounding.
 """
@@ -95,25 +99,16 @@ def numeric_gradient(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     return grad
 
 
-def tape_gradient(fn: Callable[[Tensor], Tensor], x0: np.ndarray) -> np.ndarray:
-    xt = Tensor(x0.astype(np.float64), requires_grad=True)
+def run_case(case: _Case) -> CheckResult:
+    xt = Tensor(case.x0.astype(np.float64), requires_grad=True)
     with Tape():
-        backward(fn(xt))
+        backward(case.fn(xt))
     if xt.grad is None:
         raise IntegrityError("gradient check case never touched its input")
-    return xt.grad
-
-
-def run_case(case: _Case) -> CheckResult:
-    g_tape = tape_gradient(case.fn, case.x0)
-    g_fd = numeric_gradient(lambda arr: fn_scalar(case.fn, arr), case.x0)
+    g_fd = numeric_gradient(lambda arr: case.fn(Tensor(arr)).item(), case.x0)
     denom = np.maximum(np.abs(g_fd), ABS_FLOOR / case.tol)
-    rel = float((np.abs(g_tape - g_fd) / denom).max())
+    rel = float((np.abs(xt.grad - g_fd) / denom).max())
     return CheckResult(case.name, case.x0.size, rel, case.tol, rel <= case.tol)
-
-
-def fn_scalar(fn: Callable[[Tensor], Tensor], arr: np.ndarray) -> float:
-    return fn(Tensor(arr)).item()
 
 
 def _reducer(rng: np.random.Generator):
@@ -161,6 +156,14 @@ def _param_cases(case, name: str, module: Module, run: Callable[[], Tensor]) -> 
         case(f"{name}.{path}", fn, tensor.data.astype(np.float64))
 
 
+def _module_cases(case, name: str, module: Module, fn: Callable[[Tensor], Tensor],
+                  x: np.ndarray, label: str = "x") -> None:
+    """The input case ``<name>.<label>`` (``fn`` at a copy of ``x``), then one
+    case per parameter of ``module`` at that same ``x``."""
+    case(f"{name}.{label}", fn, x.copy())
+    _param_cases(case, name, module, lambda: fn(Tensor(x)))
+
+
 def _op_cases(seed: int) -> list[_Case]:
     # constants feeding each case are drawn once here; drawing inside a case
     # body would shift the function between finite-difference evaluations
@@ -196,21 +199,15 @@ def _op_cases(seed: int) -> list[_Case]:
     norm = LayerNorm(6)
     norm.gamma.data = rng.normal(size=6)
     norm.beta.data = rng.normal(size=6)
-    x_ln = rng.normal(size=(4, 6))
-    case("layer_norm.x", lambda t: red(norm(t)), x_ln.copy())
-    _param_cases(case, "layer_norm", norm, lambda: red(norm(Tensor(x_ln))))
+    _module_cases(case, "layer_norm", norm, lambda t: red(norm(t)), rng.normal(size=(4, 6)))
 
     lin = Linear(5, 3, rng)
-    x_lin = rng.normal(size=(4, 5))
-    case("linear.x", lambda t: red(lin(t)), x_lin.copy())
-    _param_cases(case, "linear", lin, lambda: red(lin(Tensor(x_lin))))
+    _module_cases(case, "linear", lin, lambda t: red(lin(t)), rng.normal(size=(4, 5)))
 
     for k in (1, 3, 7):
         dw = DepthwiseConv1d(4, k, rng)
-        x_dw = rng.normal(size=(9, 4))
-        case(f"depthwise_k{k}.x", lambda t, dw=dw: red(dw(t)), x_dw.copy())
-        _param_cases(case, f"depthwise_k{k}", dw,
-                     lambda dw=dw, x_dw=x_dw: red(dw(Tensor(x_dw))))
+        _module_cases(case, f"depthwise_k{k}", dw, lambda t, dw=dw: red(dw(t)),
+                      rng.normal(size=(9, 4)))
 
     for label, (cin, cout, groups, k) in {
         "a": (8, 8, 4, 3),
@@ -218,15 +215,11 @@ def _op_cases(seed: int) -> list[_Case]:
         "c": (6, 6, 2, 3),
     }.items():
         gc = GroupedConv1d(cin, cout, k, groups, rng)
-        x_gc = rng.normal(size=(7, cin))
-        case(f"grouped_{label}.x", lambda t, gc=gc: red(gc(t)), x_gc.copy())
-        _param_cases(case, f"grouped_{label}", gc,
-                     lambda gc=gc, x_gc=x_gc: red(gc(Tensor(x_gc))))
+        _module_cases(case, f"grouped_{label}", gc, lambda t, gc=gc: red(gc(t)),
+                      rng.normal(size=(7, cin)))
 
     c2 = Conv2dDown(2, 3, rng)
-    x_c2 = rng.normal(size=(7, 9, 2))
-    case("conv2d.x", lambda t: red(c2(t)), x_c2.copy())
-    _param_cases(case, "conv2d", c2, lambda: red(c2(Tensor(x_c2))))
+    _module_cases(case, "conv2d", c2, lambda t: red(c2(t)), rng.normal(size=(7, 9, 2)))
 
     # from arrays drawn above, and reduced at a shape already seen, so adding
     # these cases moves no random draw of the cases before them
@@ -248,9 +241,7 @@ def _composite_cases(seed: int) -> list[_Case]:
     case("feed_forward.x", lambda t: red(ffn(t)), rng.normal(size=(5, 6)))
 
     sub = Subsampler(9, 6, rng)
-    x_sub = rng.normal(size=(17, 9))
-    case("subsampler.x", lambda t: red(sub(t)), x_sub.copy())
-    _param_cases(case, "subsampler", sub, lambda: red(sub(Tensor(x_sub))))
+    _module_cases(case, "subsampler", sub, lambda t: red(sub(t)), rng.normal(size=(17, 9)))
 
     x_unit = rng.normal(size=(7, 12))
     for fusion in FusionKind:
@@ -274,17 +265,11 @@ def _composite_cases(seed: int) -> list[_Case]:
     csgu_blk = CsguBlock(6, 8, 3, rng)
     case("csgu_block.x", lambda t: red(csgu_blk(t)), rng.normal(size=(6, 6)))
     conf = ConformerConvBlock(6, 5, rng)
-    x_conf = rng.normal(size=(7, 6))
-    case("conformer_block.x", lambda t: red(conf(t)), x_conf.copy())
-    _param_cases(case, "conformer_block", conf, lambda: red(conf(Tensor(x_conf))))
+    _module_cases(case, "conformer_block", conf, lambda t: red(conf(t)), rng.normal(size=(7, 6)))
 
     for heads in (1, 2):
         att = MultiHeadAttention(6, heads, rng)
-
-        def att_x(t, att=att):
-            return red(att(t))
-
-        case(f"attention_h{heads}.x", att_x, rng.normal(size=(5, 6)))
+        case(f"attention_h{heads}.x", lambda t, att=att: red(att(t)), rng.normal(size=(5, 6)))
 
     att = MultiHeadAttention(6, 2, rng)
     x_att = rng.normal(size=(4, 6))
@@ -300,11 +285,7 @@ def _composite_cases(seed: int) -> list[_Case]:
     ]
     for name, cfg in layer_cfgs:
         layer = EncoderLayer(cfg, rng)
-
-        def layer_x(t, layer=layer):
-            return red(layer(t))
-
-        case(f"{name}.x", layer_x, rng.normal(size=(6, 6)))
+        case(f"{name}.x", lambda t, layer=layer: red(layer(t)), rng.normal(size=(6, 6)))
 
     enc_cfgs = [
         ("encoder_weighted", "multiconv", "weighted"),
@@ -312,11 +293,7 @@ def _composite_cases(seed: int) -> list[_Case]:
     ]
     for name, block_kind, fusion in enc_cfgs:
         enc = Encoder(replace(tiny, conv_block=block_kind, fusion=fusion), rng)
-
-        def enc_x(t, enc=enc):
-            return red(enc(t))
-
-        case(f"{name}.feats", enc_x, rng.normal(size=(16, 9)))
+        case(f"{name}.feats", lambda t, enc=enc: red(enc(t)), rng.normal(size=(16, 9)))
 
     ctc_specs = [
         ("ctc.basic", 6, 4, [1, 2, 3]),
@@ -336,19 +313,31 @@ def _composite_cases(seed: int) -> list[_Case]:
         case(name, ctc_fn, logits0)
 
     model = CtcModel(tiny, rng)
-    feats0 = rng.normal(size=(16, 9))
-    labels0 = [1, 3, 2]
+    _module_cases(case, "ctc_model", model, lambda t: ctc_loss(model(t), [1, 3, 2])[0],
+                  rng.normal(size=(16, 9)), label="feats")
+    return cases
 
-    def model_loss(feats: Tensor) -> Tensor:
-        return ctc_loss(model(feats), labels0)[0]
 
-    case("ctc_model.feats", model_loss, feats0.copy())
-    _param_cases(case, "ctc_model", model, lambda: model_loss(Tensor(feats0)))
+def _matvec_cases(seed: int) -> list[_Case]:
+    """``Conv2dDown``'s matrix-vector backward branches, which no case above
+    reaches: one output frame (dx) and one output channel (dW). Their own
+    generator keeps every case above at its draws."""
+    rng = np.random.default_rng(seed + 2000)
+    red = _reducer(rng)
+    cases: list[_Case] = []
+
+    def case(name, fn, x0, tol=OP_TOL):
+        cases.append(_Case(name, fn, x0, tol))
+
+    for name, out_channels, shape in (("conv2d_one_frame", 3, (4, 3, 2)),
+                                      ("conv2d_one_channel", 1, (7, 9, 2))):
+        c2 = Conv2dDown(2, out_channels, rng)
+        _module_cases(case, name, c2, lambda t, c2=c2: red(c2(t)), rng.normal(size=shape))
     return cases
 
 
 def build_cases(seed: int = 0) -> list[_Case]:
-    cases = _op_cases(seed) + _op_cases(seed + 1) + _composite_cases(seed)
+    cases = _op_cases(seed) + _op_cases(seed + 1) + _composite_cases(seed) + _matvec_cases(seed)
     names = [c.name for c in cases]
     if len(set(names)) != len(names):
         raise IntegrityError("duplicate gradient check case names")

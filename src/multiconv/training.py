@@ -25,7 +25,7 @@ import scipy
 from .autodiff import Tape, Tensor, backward, scale
 from .checkpoint import save_model
 from .config import TrainConfig
-from .ctc import ctc_loss, edit_distance, greedy_decode, token_error_rate
+from .ctc import ctc_loss, edit_distance, greedy_decode, pooled_error_rate
 from .data import Utterance
 from .errors import ContractError, IntegrityError, replacing
 
@@ -124,7 +124,6 @@ def evaluate(model, utts: list[Utterance]) -> EvalResult:
     """Greedy-decoding token error rate and mean loss, without recording."""
     if not utts:
         raise ContractError("evaluate needs at least one utterance")
-    refs, hyps = [], []
     per_utt = []
     loss_sum = 0.0
     n_loss = 0
@@ -132,8 +131,6 @@ def evaluate(model, utts: list[Utterance]) -> EvalResult:
     for utt in utts:
         logits = model(Tensor(utt.feats))
         hyp = greedy_decode(logits.data)
-        hyps.append(hyp)
-        refs.append(utt.tokens)
         per_utt.append((utt.uid, len(utt.tokens), edit_distance(utt.tokens, hyp)))
         loss, ok = ctc_loss(logits, utt.tokens)
         if ok:
@@ -143,7 +140,7 @@ def evaluate(model, utts: list[Utterance]) -> EvalResult:
             n_infeasible += 1
     mean_loss = loss_sum / n_loss if n_loss else float("inf")
     return EvalResult(
-        ter=token_error_rate(refs, hyps),
+        ter=pooled_error_rate(sum(d for _, _, d in per_utt), sum(n for _, n, _ in per_utt)),
         loss=mean_loss,
         n_utterances=len(utts),
         n_infeasible=n_infeasible,
@@ -181,7 +178,8 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
     With ``out_dir`` given, the whole run directory is written there:
     ``encoder.json`` (from ``model.cfg``), ``train.json`` and
     ``environment.json`` before step 1, so a run cut short after its first
-    checkpoint still loads; a ``metrics.jsonl`` row per evaluation; and the
+    checkpoint still loads (an earlier run's ``model.mckpt`` is removed
+    first); a ``metrics.jsonl`` row per evaluation, appended; and the
     best-dev checkpoint ``model.mckpt``, rewritten whenever an evaluation
     strictly improves on the best dev TER so far, so the file on disk never
     corresponds to a worse model than any earlier one.
@@ -207,6 +205,7 @@ def train_model(model, train_utts: list[Utterance], dev_utts: list[Utterance],
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "model.mckpt").unlink(missing_ok=True)  # an earlier run's weights
         model.cfg.save(out_dir / "encoder.json")
         tcfg.save(out_dir / "train.json")
         with replacing(out_dir / "environment.json") as fh:

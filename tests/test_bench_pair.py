@@ -1,6 +1,6 @@
 """The pair runner: its summary (medians, quartiles and pair wins per metric),
-its traced runs, its step-level pairs, and how it handles its scratch
-directory and a failed run."""
+its traced runs and their accounting errors, its step-level pairs, and how
+it handles its scratch directory and a failed run."""
 
 import importlib.util
 import json
@@ -56,12 +56,17 @@ def test_plan_needs_at_least_two_pairs():
 STEP_SECTION = {"rounds": 2, "utts_per_step": 4, "workloads": {"w": {"sum": {"ratio": 0.9}}}}
 
 
+def _accounting(side, seed):
+    return seed / 100 + (0.001 if side == "head" else 0.0)
+
+
 def _fake_perfbench(calls, fail_side=None, fail_traced_only=False, fail_steps=False,
                     failing=()):
     """A stand-in for ``subprocess.run`` of perfbench that appends each run's
     (side, seed, trace flag) to ``calls``. An untraced run prints a passing
     result with each end-to-end metric at 1.0; a traced run prints each
-    per-layer metric at 2.0. The runs listed by (side, seed, trace flag) in
+    per-layer metric at 2.0 and an accounting error of ``_accounting(side,
+    seed)``. The runs listed by (side, seed, trace flag) in
     ``failing`` print their metrics but fail one check (a traced run its
     step-time accounting) and exit 1. Runs on ``fail_side`` (its traced runs
     only, with ``fail_traced_only``) report an exception the way perfbench
@@ -88,6 +93,8 @@ def _fake_perfbench(calls, fail_side=None, fail_traced_only=False, fail_steps=Fa
             if traced:
                 checks.append({"name": "trace_accounts_for_step_time", "ok": not fails})
             record = {"checks": checks, "env": {"nproc": 2}}
+            if traced:
+                record["detail"] = {"accounting_error": _accounting(side, calls[-1][1])}
             names = [m["name"] for m in spec["per_layer" if traced else "end_to_end"]]
             result = {"correct": not fails, "attempted": 1, "failed": int(fails),
                       "metrics": {name: {"value": 2.0 if traced else 1.0} for name in names}}
@@ -147,10 +154,11 @@ def test_each_workload_ends_with_one_traced_run_per_side_at_seed_3(monkeypatch, 
     assert calls == w_pairs + traced + v_pairs + traced + [("steps", "base", "head")]
     workloads = json.loads(out.read_text())["workloads"]
     for name in ("w", "v"):
-        trace = workloads[name]["traced"]
-        assert trace["seed"] == 3
+        [trace] = workloads[name]["traced"]
+        assert trace["seed"] == 3 and trace["first"] == "base"
         for side in bench_pair.SIDES:
             assert trace[side]["metrics"]["tape.nodes_per_utt"] == 2.0
+            assert trace[side]["accounting_error"] == _accounting(side, 3)
             assert trace[side]["failed_checks"] == ["trace_accounts_for_step_time"]
             assert not trace[side]["correct"]
         # the traced runs stay out of the end-to-end summary
@@ -159,6 +167,38 @@ def test_each_workload_ends_with_one_traced_run_per_side_at_seed_3(monkeypatch, 
     assert named == [f"bench_pair: traced {w} seed 3 on the {side} side is not correct: "
                      "failed checks [trace_accounts_for_step_time], 1 of 1 operations failed"
                      for w in ("w", "v") for side in bench_pair.SIDES]
+
+
+def test_train_long_is_traced_at_seeds_3_4_5_and_each_accounting_error_is_shown(
+        monkeypatch, tmp_path, capsys):
+    calls = _stub(monkeypatch, failing=[("head", 4, True)])
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--base", "HEAD", "--out", str(out), "--scratch", str(tmp_path / "s"),
+                            "train-long:2", "w:2"]) == 1
+    traced = [c for c in calls if c[-1] is True]
+    assert traced == [("base", 3, True), ("head", 3, True), ("head", 4, True),
+                      ("base", 4, True), ("base", 5, True), ("head", 5, True),
+                      ("base", 3, True), ("head", 3, True)]  # then w's one pair
+    traces = json.loads(out.read_text())["workloads"]["train-long"]["traced"]
+    assert [(t["seed"], t["first"]) for t in traces] == [(3, "base"), (4, "head"), (5, "base")]
+    for trace in traces:
+        for side in bench_pair.SIDES:
+            assert trace[side]["accounting_error"] == _accounting(side, trace["seed"])
+    assert traces[1]["head"]["failed_checks"] == ["trace_accounts_for_step_time"]
+    err = capsys.readouterr().err.splitlines()
+    assert ("bench_pair: traced train-long accounting_error: seed 3 base 3.00% head 3.10%, "
+            "seed 4 base 4.00% head 4.10%, seed 5 base 5.00% head 5.10%") in err
+    assert "bench_pair: traced w accounting_error: seed 3 base 3.00% head 3.10%" in err
+    # the failing traced run is still named, as every run that is not correct is
+    assert [line for line in err if "not correct" in line] == [
+        "bench_pair: traced train-long seed 4 on the head side is not correct: "
+        "failed checks [trace_accounts_for_step_time], 1 of 1 operations failed"]
+
+
+def test_accounting_line_shows_a_missing_error_as_n_a():
+    trace = {"seed": 3, "base": {"accounting_error": None}, "head": {"accounting_error": 0.0444}}
+    assert bench_pair.accounting_line("x", [trace]) == (
+        "bench_pair: traced x accounting_error: seed 3 base n/a head 4.44%")
 
 
 def test_an_untraced_run_that_fails_a_check_is_written_then_exits_1(monkeypatch, tmp_path,

@@ -160,6 +160,26 @@ def test_eval_missing_model_is_runtime_failure(workspace, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, header", [
+    (["eval"], "uid,ref_len,edit_distance"),
+    (["analyze", "diagonality"], "layer,value"),
+    (["analyze", "gate-importance"], "layer,k3,k5"),
+])
+def test_out_csv_replaces_the_file_instead_of_writing_into_it(workspace, tmp_path, command,
+                                                               header, capsys):
+    # a reader that holds the old file (here a second hard link to it) keeps
+    # the old bytes; the path gets the new CSV and no temporary stays behind
+    data, run = workspace
+    out, held = tmp_path / "out.csv", tmp_path / "held.csv"
+    out.write_text("old\n")
+    os.link(out, held)
+    assert main([*command, "--data", str(data), "--model", str(run), "--out", str(out)]) == 0
+    assert held.read_text() == "old\n"
+    assert out.read_text().startswith(header + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["held.csv", "out.csv"]
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-data"])  # --out is required

@@ -1,4 +1,7 @@
-"""The finite-difference audit covers every parameter of the modules it audits."""
+"""The finite-difference audit covers every parameter of the modules it
+audits, and its case list is pinned."""
+
+import hashlib
 
 import numpy as np
 
@@ -25,6 +28,8 @@ AUDITED = [
     ("grouped_b", lambda rng: GroupedConv1d(8, 4, 5, 4, rng)),
     ("grouped_c", lambda rng: GroupedConv1d(6, 6, 3, 2, rng)),
     ("conv2d", lambda rng: Conv2dDown(2, 3, rng)),
+    ("conv2d_one_frame", lambda rng: Conv2dDown(2, 3, rng)),
+    ("conv2d_one_channel", lambda rng: Conv2dDown(2, 1, rng)),
     ("subsampler", lambda rng: Subsampler(9, 6, rng)),
     *[(f"mcsgu_{kind.value}", lambda rng, kind=kind: Mcsgu(12, (3, 5), kind, rng))
       for kind in FusionKind],
@@ -47,3 +52,17 @@ def test_every_parameter_of_each_audited_module_has_a_case():
     assert len(expected) > 60
     assert [name for name in expected if name not in names] == []
     assert len(cases) >= 134
+
+
+def test_case_list_is_pinned():
+    # names, order and starting points of every case; the reducer draws its
+    # projections from the builder's generator in case order as the cases
+    # run, so a renamed, dropped or reordered case moves the lines after it
+    digest = hashlib.sha256()
+    cases = build_cases(0)
+    for case in cases:
+        digest.update(f"{case.name}\0{case.x0.size}\0".encode())
+        digest.update(case.x0.tobytes())
+    assert len(cases) == 222
+    assert digest.hexdigest() == (
+        "5f78c5c72b85debdea5365ba4f2a932e64372f7ebc3a694dacdabecbfe907c81")

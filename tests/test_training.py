@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from multiconv import ctc, training
 from multiconv.autodiff import Tensor
 from multiconv.checkpoint import load_model, save_model
 from multiconv.cli import main
@@ -145,6 +146,22 @@ def test_evaluate_counts_errors_and_infeasible():
     assert result.n_infeasible == 1
 
 
+def test_evaluate_computes_each_edit_distance_once(monkeypatch):
+    calls, distance = [], ctc.edit_distance
+
+    def counted(ref, hyp):
+        calls.append(1)
+        return distance(ref, hyp)
+
+    for module in (ctc, training):  # wherever a TER could compute distances
+        monkeypatch.setattr(module, "edit_distance", counted)
+    logits = [[0, 5, 0], [5, 0, 0], [0, 0, 5]]
+    result = evaluate(_FixedModel(logits), [_Utt([1, 2]), _Utt([2, 2]), _Utt([1, 1, 1, 1])])
+    assert len(calls) == 3
+    assert [dist for _, _, dist in result.per_utt] == [0, 1, 3]
+    assert result.ter == 4 / 8
+
+
 def test_evaluate_requires_utterances():
     with pytest.raises(ContractError):
         evaluate(_FixedModel([[0.0, 1.0]]), [])
@@ -268,6 +285,25 @@ def test_python_run_directory_loads_with_the_cli(tmp_path, capsys):
     assert TrainConfig.load(tmp_path / "run" / "train.json").steps == 3
     assert main(["eval", "--data", str(tmp_path / "data"), "--model", str(tmp_path / "run")]) == 0
     assert "utterances=4" in capsys.readouterr().out
+
+
+def test_a_reused_run_directory_keeps_no_earlier_weights(tmp_path):
+    # a second run into the directory fails at step 1, before it saves any
+    # weights: the first run's must not stay beside the second run's configs
+    out = tmp_path / "run"
+    _, _, (train, dev) = small_run(tmp_path, steps=3, out_dir=out)
+    assert (out / "model.mckpt").exists()
+    poisoned = []
+    for utt in train:
+        feats = utt.feats.copy()
+        feats[0, 0] = np.nan
+        poisoned.append(dataclasses.replace(utt, feats=feats))
+    model = build_model(dataclasses.replace(ECFG, seed=7))
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrityError, match="step 1,"):
+        train_model(model, poisoned, dev, TrainConfig(seed=7, steps=50, batch_size=4),
+                    out_dir=out)
+    assert not (out / "model.mckpt").exists()
+    assert main(["eval", "--data", str(tmp_path / "data"), "--model", str(out)]) == 2
 
 
 def test_zero_lr_freezes_parameters(tmp_path):

@@ -12,8 +12,12 @@ sides then take turns running ``perfbench/run.py --trace 0`` from their own
 directory, one pair per seed from 41 upwards, each run as long as
 ``BENCHMARK.json``'s ``run_seconds``. The side that runs first alternates
 from pair to pair, so a drift in machine speed falls on both. After its
-pairs, each workload gets one traced run per side (``--trace 1``, seed 3),
-which gives the per-layer metrics and runs the tracer's own checks. The
+pairs, each workload gets traced runs (``--trace 1``), which give the
+per-layer metrics and run the tracer's own checks: one pair at seed 3, and
+for ``train-long`` one pair at each of seeds 3, 4 and 5, the side that runs
+first alternating as in the untraced pairs. Each traced run keeps its
+``accounting_error`` (how far the per-layer table misses the untraced step
+time), and a closing stderr line gives it by seed and side. The
 directories are removed at the end.
 
 The output holds both revisions, the environment of the runs (``nproc``,
@@ -82,7 +86,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 FIRST_SEED = 41
-TRACE_SEED = 3
+TRACE_SEEDS = {"train-long": (3, 4, 5)}  # the accounting error is reported at these
+DEFAULT_TRACE_SEEDS = (3,)
 STEP_ROUNDS = 40
 STEP_UTTS = 4
 STEP_LR = 3e-3
@@ -164,6 +169,7 @@ def _run(checkout: Path, side: str, workload: str, seed: int, seconds: float,
         "failed_checks": [c["name"] for c in record.get("checks", []) if not c["ok"]],
         "steps_by_variant": detail.get("steps_by_variant"),
         "best_dev_ter_by_variant": detail.get("best_dev_ter_by_variant"),
+        "accounting_error": detail.get("accounting_error"),
         "env": record.get("env", {}),
     }
 
@@ -191,6 +197,15 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(pairs),
         }
     return out
+
+
+def accounting_line(workload: str, traces: list[dict]) -> str:
+    """Each traced run's accounting error, by seed and side."""
+    def percent(value):
+        return "n/a" if value is None else f"{100 * value:.2f}%"
+    cells = [f"seed {t['seed']} " + " ".join(f"{side} {percent(t[side]['accounting_error'])}"
+                                            for side in SIDES) for t in traces]
+    return f"bench_pair: traced {workload} accounting_error: {', '.join(cells)}"
 
 
 def sign_interval(ratios: list[float]) -> tuple[float, float]:
@@ -369,22 +384,25 @@ def main(argv=None) -> int:
                   f"{time.perf_counter() - started:.0f} s, correct={pair[side]['correct']}",
                   file=sys.stderr)
 
-        for workload, count in plan:
+        def run_pairs(workload: str, seeds, traced: bool = False) -> list[dict]:
+            """One pair per seed, the side that runs first alternating."""
             pairs = []
-            for i in range(count):
+            for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"seed": FIRST_SEED + i, "first": order[0]}
+                pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run(pair, side, workload)
+                    run(pair, side, workload, traced)
                 pairs.append(pair)
-            trace = {"seed": TRACE_SEED, "first": SIDES[0]}
-            for side in SIDES:
-                run(trace, side, workload, traced=True)
+            return pairs
+
+        for workload, count in plan:
+            pairs = run_pairs(workload, range(FIRST_SEED, FIRST_SEED + count))
+            traces = run_pairs(workload, TRACE_SEEDS.get(workload, DEFAULT_TRACE_SEEDS), True)
             workloads[workload] = {
                 "seconds": seconds,
                 "summary": summarise(pairs, bench["end_to_end"]),
                 "pairs": pairs,
-                "traced": trace,
+                "traced": traces,
             }
         started = time.perf_counter()
         steps = _run_steps(dirs)
@@ -410,9 +428,11 @@ def main(argv=None) -> int:
         "steps": steps,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for workload, entry in workloads.items():
+        print(accounting_line(workload, entry["traced"]), file=sys.stderr)
     failed = [(workload, pair, side, traced)
               for workload, entry in workloads.items()
-              for traced, pairs in ((False, entry["pairs"]), (True, [entry["traced"]]))
+              for traced, pairs in ((False, entry["pairs"]), (True, entry["traced"]))
               for pair in pairs for side in SIDES if not pair[side]["correct"]]
     for workload, pair, side, traced in failed:
         run = pair[side]
